@@ -38,10 +38,15 @@ print(f"lambda_max value: start {trace[0]:.4f} -> best {trace[-1]:.4f} "
       f"(never reaches 0 because alpha is below the norm)")
 print(f"running best after 1, 10, 100, 400 steps: "
       f"{trace[0]:.4f}, {trace[9]:.4f}, {trace[99]:.4f}, {trace[-1]:.4f}")
+print(f"certified by the subgradient cuts: {run.lower_bound:.4f} <= minimum "
+      f"<= {run.best_value:.4f}")
+run = cs.emd_minimize(evaluator, 10, 5000, "adaptive", stop_below=0.0)
+print(f"asked only whether 0 is reachable: exit {run.exit!r} after "
+      f"{run.iterations} evaluations, bound {run.lower_bound:.4f} > 0")
 
 print("\n== early exit when only feasibility matters ==")
 alpha = 1.5 * cs.norm_inf2_exact(b)[0]
 evaluator = cs.pietsch.PietschObjective(b, alpha)
 run = cs.emd_minimize(evaluator, 10, 5000, "adaptive", stop_below=0.0)
-print(f"feasible level: stopped after {run.iterations} evaluation(s) with "
-      f"value {run.best_value:.4f} <= 0")
+print(f"feasible level: exit {run.exit!r} after {run.iterations} evaluation(s) "
+      f"with value {run.best_value:.4f} <= 0")

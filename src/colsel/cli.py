@@ -49,11 +49,10 @@ class RunConfig:
     kt_norm_threshold: float = KT_NORM_THRESHOLD
     bt_kappa_threshold: float = BT_KAPPA_THRESHOLD
     oracle_cap: int = 20
-    threads: int = 1
 
     def validate(self):
-        if self.emd_iterations < 1 or self.oracle_cap < 1 or self.threads < 1:
-            raise DomainError("iteration, cap, and thread counts must be >= 1")
+        if self.emd_iterations < 1 or self.oracle_cap < 1:
+            raise DomainError("iteration and cap counts must be >= 1")
         if not 0.0 < self.rel_tol < 1.0:
             raise DomainError("rel-tol must lie in (0, 1)")
         if self.kt_norm_threshold <= 0 or self.bt_kappa_threshold <= 0:
@@ -79,8 +78,6 @@ def _build_parser():
         p.add_argument("--format", choices=["csv", "matrix-market"], default=None)
         p.add_argument("--standardize", action="store_true",
                        help="rescale columns to unit norm before running")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; execution is sequential either way")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte-identical output)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -196,7 +193,6 @@ def _run(args):
         rel_tol=args.rel_tol,
         standardize_input=args.standardize,
         oracle_cap=getattr(args, "oracle_cap", 20),
-        threads=args.threads,
     )
     if args.command == "kt":
         config.kt_norm_threshold = args.threshold

@@ -119,7 +119,6 @@ def groth_factorize(
     emd_budget=5000,
     *,
     eta_cap: Optional[float] = None,
-    patience: Optional[int] = None,
 ) -> GrothendieckFactorization:
     """Factor symmetric ``G = D T D`` with ``||T|| <= alpha_effective``.
 
@@ -142,7 +141,6 @@ def groth_factorize(
         emd_budget,
         step_mode="adaptive",
         stop_below=0.0,
-        patience=patience,
     )
     f = np.maximum(run.best_point, 0.0)
     f /= f.sum()
@@ -238,7 +236,6 @@ def groth_optimal_alpha(
     emd_budget=5000,
     *,
     max_probes=48,
-    patience: Optional[int] = None,
 ) -> NormBracket:
     """Certified bracket for ``||G||_{inf->1}`` by bisection over ``alpha``.
 
@@ -291,7 +288,7 @@ def groth_optimal_alpha(
         if probes >= max_probes:
             break
         mid = math.sqrt(lo_b * hi_b)
-        fact = groth_factorize(g, mid, emd_budget, patience=patience)
+        fact = groth_factorize(g, mid, emd_budget)
         probes += 1
         upper = fact.t_norm * (1.0 + 1e-9)
         if upper < alpha_hi:

@@ -3,7 +3,8 @@
 Supported inputs: plain CSV (one row per line, comma-separated decimals) and
 the Matrix Market subset ``array real general`` / ``coordinate real
 general|symmetric``.  Dense matrices only, refused above ``MAX_ENTRIES``
-entries.
+entries.  Coordinate indices must be decimal integers and no position may
+be given twice (in symmetric files, counting the mirrored position).
 
 Reports are serialized with sorted keys, floats printed to 17 significant
 digits (round-trip exact for doubles), non-finite floats as ``null``, and a
@@ -77,6 +78,16 @@ def _mm_value(tok, path, lineno):
         ) from None
 
 
+def _mm_index(tok, path, lineno):
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(
+            f"{path}: index {tok!r} at line {lineno} is not a positive integer",
+            code="mm-index",
+            line=lineno,
+        )
+    return int(tok)
+
+
 def _parse_matrix_market(text, path):
     lines = text.splitlines()
     if not lines or not lines[0].startswith("%%MatrixMarket"):
@@ -147,6 +158,7 @@ def _parse_matrix_market(text, path):
             code="mm-count",
         )
     a = np.zeros((rows, cols))
+    seen = {}  # position -> line that set it; symmetric files key (lo, hi)
     for no, ln in entries:
         tokens = ln.split()
         if len(tokens) != 3:
@@ -155,8 +167,8 @@ def _parse_matrix_market(text, path):
                 code="mm-entry",
                 line=no,
             )
-        i = int(_mm_value(tokens[0], path, no))
-        j = int(_mm_value(tokens[1], path, no))
+        i = _mm_index(tokens[0], path, no)
+        j = _mm_index(tokens[1], path, no)
         v = _mm_value(tokens[2], path, no)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParseError(
@@ -164,6 +176,15 @@ def _parse_matrix_market(text, path):
                 code="mm-entry",
                 line=no,
             )
+        key = (min(i, j), max(i, j)) if symmetry == "symmetric" else (i, j)
+        if key in seen:
+            raise ParseError(
+                f"{path}: entry ({i}, {j}) at line {no} repeats the position "
+                f"set at line {seen[key]}",
+                code="mm-duplicate",
+                line=no,
+            )
+        seen[key] = no
         a[i - 1, j - 1] = v
         if symmetry == "symmetric":
             a[j - 1, i - 1] = v

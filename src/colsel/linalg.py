@@ -42,10 +42,25 @@ def _require_symmetric(h, name="matrix"):
     return h
 
 
+def _unit_scaled(a):
+    """``(a * 2**-e, e)`` with the largest ``|entry|`` of the first in [0.5, 1).
+
+    Scaling by a power of two is exact, so norms computed from squared
+    entries of the scaled matrix and multiplied back by ``2**e`` neither
+    underflow nor overflow, and equal the unscaled results wherever those
+    stay in range.
+    """
+    peak = float(np.abs(a).max()) if a.size else 0.0
+    if peak == 0.0:
+        return a, 0
+    e = math.frexp(peak)[1]
+    return np.ldexp(a, -e), e
+
+
 def frobenius_norm(a):
     """Frobenius norm of a dense matrix."""
-    a = as_matrix(a)
-    return math.sqrt(float(np.sum(a * a)))
+    a, e = _unit_scaled(as_matrix(a))
+    return math.ldexp(math.sqrt(float(np.sum(a * a))), e)
 
 
 class EigPair(NamedTuple):
@@ -75,7 +90,8 @@ def max_eig_pair(h, tol=1e-10) -> EigPair:
         raise DomainError("matrix must have at least one row")
     fro = math.sqrt(float(np.sum(h * h)))
     scale = max(1.0, fro)
-    if fro == 0.0:
+    # ``fro`` underflows to 0 for a tiny nonzero matrix; test the entries.
+    if not h.any():
         v = np.zeros(n)
         v[0] = 1.0
         return EigPair(0.0, v, 0.0)
@@ -101,10 +117,11 @@ def spectral_norm(a, tol=1e-10):
     a = as_matrix(a)
     if a.size == 0:
         return 0.0
+    a, e = _unit_scaled(a)
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
     pair = max_eig_pair(gram, tol)
-    return math.sqrt(max(pair.value, 0.0))
+    return math.ldexp(math.sqrt(max(pair.value, 0.0)), e)
 
 
 def stable_rank(a, tol=1e-10):

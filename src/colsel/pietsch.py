@@ -136,7 +136,6 @@ def pietsch_factorize(
     emd_budget=5000,
     *,
     eta_cap: Optional[float] = None,
-    patience: Optional[int] = None,
 ) -> PietschFactorization:
     """Factor ``B = T D`` with ``||T|| <= alpha_effective``.
 
@@ -167,7 +166,6 @@ def pietsch_factorize(
         emd_budget,
         step_mode="adaptive",
         stop_below=0.0,
-        patience=patience,
     )
     f = np.maximum(run.best_point, 0.0)
     f /= f.sum()
@@ -252,7 +250,6 @@ def pietsch_optimal_alpha(
     emd_budget=5000,
     *,
     max_probes=48,
-    patience: Optional[int] = None,
 ) -> NormBracket:
     """Certified bracket for ``||B||_{inf->2}`` by bisection over ``alpha``.
 
@@ -297,7 +294,7 @@ def pietsch_optimal_alpha(
         if probes >= max_probes:
             break
         mid = math.sqrt(lo_b * hi_b)
-        fact = pietsch_factorize(b, mid, emd_budget, patience=patience)
+        fact = pietsch_factorize(b, mid, emd_budget)
         probes += 1
         # The measured ||T|| certifies the norm from above (up to eigensolver
         # slack, absorbed here).

@@ -43,14 +43,12 @@ _KAPPA_SLACK = 1e-10
 class SelectConfig:
     """Tunables for the selection pipelines.
 
-    ``emd_patience`` bounds the stall length of an infeasible inner solve;
-    the hard budget stays ``emd_iterations``.  ``shortcut`` accepts the full
-    column set up front whenever the whole matrix already passes the metric
-    check.
+    ``emd_iterations`` is the evaluation budget of each inner solve.
+    ``shortcut`` accepts the full column set up front whenever the whole
+    matrix already passes the metric check.
     """
 
     emd_iterations: int = 5000
-    emd_patience: Optional[int] = 250
     norm_threshold: float = KT_NORM_THRESHOLD
     kappa_threshold: float = BT_KAPPA_THRESHOLD
     shortcut: bool = False
@@ -97,12 +95,7 @@ def norm_reduce(a, s, rng, config: Optional[SelectConfig] = None):
     sample = random_subset(a.shape[1], s, rng)
     alpha = 8.0 * PIETSCH_CONSTANT * math.sqrt(s)
     try:
-        fact = pietsch_factorize(
-            a[:, sample],
-            alpha,
-            config.emd_iterations,
-            patience=config.emd_patience,
-        )
+        fact = pietsch_factorize(a[:, sample], alpha, config.emd_iterations)
     except (InfeasibleFactorization, SolverError):
         return None
     return _prune(sample, fact.d**2, s)
@@ -119,12 +112,7 @@ def cond_reduce(a, s, rng, config: Optional[SelectConfig] = None):
     sample = random_subset(a.shape[1], s, rng)
     g = hollow_gram(a[:, sample])
     try:
-        fact = groth_factorize(
-            g,
-            s / 4.0,
-            config.emd_iterations,
-            patience=config.emd_patience,
-        )
+        fact = groth_factorize(g, s / 4.0, config.emd_iterations)
     except (InfeasibleFactorization, SolverError):
         return None
     return _prune(sample, fact.d**2, s)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from colsel import DomainError, emd_minimize, emd_step
-from colsel.emd import SubgradientSample
+from colsel.emd import GAP_RTOL, SubgradientSample
 
 from oracles import simplex_grid
 
@@ -33,6 +35,8 @@ def test_first_coordinate_objective_bound():
 def test_constant_objective_returns_uniform():
     run = emd_minimize(lambda f: SubgradientSample(3.0, np.zeros(4)), 4, 100)
     assert run.iterations == 1
+    assert run.exit == "zero-step"
+    assert run.lower_bound == 3.0
     assert np.allclose(run.best_point, 0.25)
     assert run.best_value == 3.0
 
@@ -90,15 +94,62 @@ def test_best_value_equals_min_of_trace_and_reproduces():
 
 def test_stop_below_exits_early():
     run = emd_minimize(linear_objective([1.0, 0.0]), 2, 10_000, "adaptive", stop_below=0.1)
+    assert run.exit == "feasible"
     assert run.best_value <= 0.1
     assert run.iterations < 10_000
 
 
-def test_patience_stops_stalled_solve():
-    # The minimum is at a vertex; far from it progress slows until the
-    # material-improvement window closes the run.
-    run = emd_minimize(linear_objective([0.0, 5.0]), 2, 50_000, "adaptive", patience=25)
-    assert run.iterations < 50_000
+def test_certified_gap_stops_infeasible_solve():
+    # min c = 1 > stop_below, so the level is out of reach; the cuts certify
+    # that and the solve ends once best is within GAP_RTOL of the bound.
+    c = np.array([1.0, 2.0, 3.0, 4.0])
+    run = emd_minimize(linear_objective(c), 4, 10_000, "adaptive", stop_below=0.0)
+    assert run.exit == "gap"
+    assert run.iterations < 10_000
+    assert run.lower_bound <= c.min() <= run.best_value
+    assert run.best_value - run.lower_bound <= GAP_RTOL * abs(run.best_value)
+
+
+def test_gap_exit_when_nonsmooth_minimum_sits_just_above_level():
+    # J(f) = max_j (c_j - f_j) + 0.01 has minimum 0.01 at f = c, where every
+    # coordinate is active.  Single cuts stay far below it; averaging the
+    # cuts of recent steps certifies it well inside the budget.
+    c = np.random.default_rng(8).random(8)
+    c /= c.sum()
+
+    def objective(f):
+        j = int(np.argmax(c - f))
+        theta = np.zeros(8)
+        theta[j] = -1.0
+        return SubgradientSample(float((c - f)[j]) + 0.01, theta)
+
+    run = emd_minimize(objective, 8, 5000, "adaptive", stop_below=0.0)
+    assert run.exit == "gap"
+    assert run.lower_bound <= 0.01 <= run.best_value
+
+
+def test_minimum_at_stop_below_runs_to_budget():
+    # The infimum 0 equals stop_below but is only approached: no cut can
+    # exceed it and no iterate reaches it, so the budget ends the solve.
+    run = emd_minimize(linear_objective([0.0, 5.0]), 2, 500, "adaptive", stop_below=0.0)
+    assert run.exit == "budget"
+    assert run.iterations == 500
+    assert run.lower_bound <= 0.0 < run.best_value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=32),
+    stop_below=st.one_of(st.none(), st.floats(-20.0, 20.0)),
+    mode=st.sampled_from(["fixed-horizon", "adaptive"]),
+)
+# A subnormal subgradient once overflowed the step size to inf.
+@example(c=[0.0, 2.225073858507e-311], stop_below=None, mode="fixed-horizon")
+def test_lower_bound_never_exceeds_linear_minimum(c, stop_below, mode):
+    c = np.array(c)
+    run = emd_minimize(linear_objective(c), c.size, 60, mode, stop_below=stop_below)
+    assert run.exit in ("feasible", "gap", "budget", "zero-step")
+    assert run.lower_bound <= c.min()
 
 
 def test_single_point_simplex():

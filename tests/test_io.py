@@ -120,6 +120,24 @@ def test_matrix_market_errors(tmp_path):
     assert info.value.code == "mm-entry"
 
 
+@pytest.mark.parametrize(
+    "symmetry, body, code, line",
+    [
+        ("general", "2 2 2\n1 1 1.0\n1.5 2 2.0\n", "mm-index", 4),
+        ("general", "2 2 2\n1 x 1.0\n2 2 2.0\n", "mm-index", 3),
+        ("general", "2 2 2\n1 2 1.0\n1 2 5.0\n", "mm-duplicate", 4),
+        ("symmetric", "2 2 3\n1 1 1.0\n2 1 3.0\n1 2 4.0\n", "mm-duplicate", 5),
+    ],
+)
+def test_matrix_market_coordinate_strictness(tmp_path, symmetry, body, code, line):
+    text = f"%%MatrixMarket matrix coordinate real {symmetry}\n" + body
+    path = write(tmp_path, "strict.mtx", text)
+    with pytest.raises(ParseError, match=f"line {line}") as info:
+        load_matrix(path)
+    assert info.value.code == code
+    assert info.value.line == line
+
+
 def test_size_guardrail(tmp_path):
     text = "%%MatrixMarket matrix coordinate real general\n4000 4000 1\n1 1 1.0\n"
     path = write(tmp_path, "big.mtx", text)

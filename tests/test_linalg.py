@@ -46,6 +46,14 @@ def test_spectral_norm_matches_svd_on_random():
         assert spectral_norm(a) == pytest.approx(sv, abs=1e-10)
 
 
+@pytest.mark.parametrize("c", [1e-200, 1e-150, 1.0, 1e150])
+def test_norms_scale_exactly_with_the_input(c):
+    # Squared entries of 1e-160 * B underflow; the norms must not.
+    b = np.random.default_rng(7).standard_normal((6, 9))
+    assert spectral_norm(c * b) == pytest.approx(c * spectral_norm(b), rel=1e-12, abs=0.0)
+    assert frobenius_norm(c * b) == pytest.approx(c * frobenius_norm(b), rel=1e-12, abs=0.0)
+
+
 def test_stable_rank():
     for n in (1, 3, 6):
         assert stable_rank(np.eye(n)) == pytest.approx(n)
@@ -179,3 +187,8 @@ def test_max_eig_pair_zero_matrix():
     pair = max_eig_pair(np.zeros((3, 3)))
     assert pair.value == 0.0
     assert pair.residual == 0.0
+
+
+def test_max_eig_pair_tiny_matrix_is_not_zero():
+    h = np.diag([3.0, 1.0, -2.0])
+    assert max_eig_pair(1e-170 * h).value == pytest.approx(3e-170, rel=1e-12, abs=0.0)

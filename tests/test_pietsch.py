@@ -67,6 +67,15 @@ def test_factorize_identity():
     check_factorization_invariants(np.eye(s), fact)
 
 
+def test_factorize_tiny_input_measures_t_norm():
+    # ||T|| of 1e-150 * B was once reported as 0.0, a false certificate.
+    b = np.random.default_rng(3).standard_normal((6, 9))
+    tiny = pietsch_factorize(1e-150 * b, 1e-148)
+    unit = pietsch_factorize(b, 100.0)
+    assert tiny.t_norm == pytest.approx(1e-150 * unit.t_norm, rel=1e-9, abs=0.0)
+    check_factorization_invariants(1e-150 * b, tiny)
+
+
 def test_factorize_flat_row():
     b = np.array([[1.0, 1.0]])
     fact = pietsch_factorize(b, 2.0)
