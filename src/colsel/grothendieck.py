@@ -38,6 +38,7 @@ from .pietsch import (
     RECONSTRUCTION_RTOL,
     ZERO_COLUMN_GATE,
     NormBracket,
+    _canonical_sign,
 )
 
 GROTHENDIECK_LOWER = math.pi / 2.0
@@ -241,7 +242,8 @@ def groth_optimal_alpha(
 
     Same scheme as the Pietsch bracket: sign-vector probes below,
     factorization norms above, ratio target
-    ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``.
+    ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``; ``lower_witness``
+    has first entry ``+1``.
     """
     g = _require_symmetric(g, "G")
     if g.shape[0] == 0:
@@ -313,7 +315,7 @@ def groth_optimal_alpha(
         alpha_lo=lo * (1.0 - 1e-12),
         alpha_hi=alpha_hi,
         best=best,
-        lower_witness=witness,
+        lower_witness=_canonical_sign(witness),
         converged=converged,
         probes=probes,
     )

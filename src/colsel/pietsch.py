@@ -14,6 +14,16 @@ bisection in :func:`pietsch_optimal_alpha` a certified bracket for the
 (NP-hard) norm: sign-vector probes give lower bounds, factorizations give
 upper bounds, and the two meet within the factorization constant
 ``K_P = sqrt(pi/2)`` for the real field.
+
+Every eigenvalue the module needs comes from :meth:`PietschObjective.pair`.
+Constant weights make the shift ``alpha^2 diag(f)`` a multiple ``c I`` of
+the identity; when ``B`` also has fewer rows than columns, the top pair is
+taken from the small Gram ``B B^T``, which shares the nonzero spectrum of
+``B^T B``, and the ``s x s`` Gram is formed only for the first non-constant
+``f``.  Both public solvers work on ``B 2^-e`` at level ``alpha 2^-e``, where
+``2^e`` brings the largest entry of ``B`` into ``[0.5, 1)``, and scale the
+results back; scaling by a power of two is exact, so Gram entries neither
+overflow nor underflow and the results are homogeneous in ``B``.
 """
 
 import math
@@ -24,7 +34,14 @@ import numpy as np
 
 from .emd import SubgradientSample, emd_minimize
 from .errors import DomainError, InfeasibleFactorization, SolverError
-from .linalg import as_matrix, frobenius_norm, max_eig_pair, spectral_norm
+from .linalg import (
+    EigPair,
+    _unit_scaled,
+    as_matrix,
+    frobenius_norm,
+    max_eig_pair,
+    spectral_norm,
+)
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -78,23 +95,69 @@ class NormBracket:
 class PietschObjective:
     """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``.
 
-    The Gram matrix is formed once per solve.  The subgradient at ``f`` is
-    ``-alpha^2 |u|^2`` for the returned unit top eigenvector ``u``.
+    For constant weights on an ``m x s`` matrix with ``m < s`` the shift is
+    ``c I``, ``c = alpha^2 f_0``: the top pair ``(mu, v)`` of the ``m x m``
+    Gram ``B B^T`` gives ``lambda = mu - c`` and ``u = B^T v / ||B^T v||``.
+    Every other ``f`` uses the ``s x s`` Gram ``B^T B``, formed on first use.
+    The subgradient at ``f`` is ``-alpha^2 |u|^2`` for the returned unit top
+    eigenvector ``u``.
     """
 
     def __init__(self, b, alpha, eig_tol=OBJECTIVE_EIG_TOL):
-        b = as_matrix(b, "B")
+        self.b = as_matrix(b, "B")
         if alpha < 0:
             raise DomainError("alpha must be nonnegative")
-        self.gram = b.T @ b
         self.alpha_sq = float(alpha) ** 2
         self.eig_tol = eig_tol
+        self._gram = None
+        self._short = None
+
+    def pair(self, f, tol, alpha_sq):
+        """Top eigenpair of ``B^T B - alpha_sq diag(f)`` with its residual.
+
+        The residual ``||H u - lambda u||_2`` is measured on the ``s x s``
+        problem and held to ``tol * max(1, ||H||_F)`` on either path.
+        """
+        f = np.asarray(f, dtype=float)
+        m, s = self.b.shape
+        if m < s and f.max() == f.min():
+            return self._short_side_pair(alpha_sq * float(f[0]), tol)
+        if self._gram is None:
+            self._gram = self.b.T @ self.b
+        h = self._gram.copy()
+        idx = np.arange(s)
+        h[idx, idx] -= alpha_sq * f
+        return max_eig_pair(h, tol)
+
+    def _short_side_pair(self, c, tol):
+        b = self.b
+        if not math.isfinite(c):
+            raise DomainError(f"diagonal shift {c!r} is not finite")
+        if self._short is None:
+            k = b @ b.T
+            self._short = (k, float(np.sum(k * k)), float(np.sum(b * b)))
+        k, fro_k_sq, fro_b_sq = self._short
+        top = max_eig_pair(k, tol)
+        w = b.T @ top.vector
+        norm_w = math.sqrt(float(w @ w))
+        if norm_w > 0.0:
+            u = w / norm_w
+        else:  # B B^T vanished: take e_0 and let the residual judge it
+            u = np.zeros(b.shape[1])
+            u[0] = 1.0
+        r = b.T @ (b @ u) - top.value * u
+        resid = math.sqrt(float(r @ r))
+        # ||B^T B - c I||_F^2 = ||B B^T||_F^2 - 2 c ||B||_F^2 + s c^2, exactly.
+        fro_h_sq = fro_k_sq - 2.0 * c * fro_b_sq + b.shape[1] * c * c
+        scale = max(1.0, math.sqrt(max(fro_h_sq, 0.0)))
+        if resid > tol * scale:
+            raise SolverError(
+                f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
+            )
+        return EigPair(top.value - c, u, resid)
 
     def __call__(self, f):
-        m = self.gram.copy()
-        idx = np.arange(m.shape[0])
-        m[idx, idx] -= self.alpha_sq * f
-        pair = max_eig_pair(m, self.eig_tol)
+        pair = self.pair(f, self.eig_tol, self.alpha_sq)
         return SubgradientSample(pair.value, -self.alpha_sq * pair.vector**2)
 
 
@@ -103,16 +166,30 @@ def pietsch_objective(b, alpha, f):
     return PietschObjective(b, alpha)(f)
 
 
-def _certified_value(gram_like, eig_tol=CERTIFICATE_EIG_TOL):
-    pair = max_eig_pair(gram_like, eig_tol)
-    return pair.value + pair.residual
+def _ldexp(x, e):
+    """``x * 2**e``, saturating to ``+-inf`` beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
-def _shifted_gram(gram, alpha_sq, f):
-    m = gram.copy()
-    idx = np.arange(m.shape[0])
-    m[idx, idx] -= alpha_sq * f
-    return m
+def _rescaled(fact, e):
+    """The factorization of ``B`` from that of ``B * 2**-e``."""
+    return PietschFactorization(
+        d=fact.d,
+        t=np.ldexp(fact.t, e),
+        alpha_effective=_ldexp(fact.alpha_effective, e),
+        eta=_ldexp(fact.eta, 2 * e),
+        reconstruction_residual=_ldexp(fact.reconstruction_residual, e),
+        t_norm=_ldexp(fact.t_norm, e),
+    )
+
+
+def _canonical_sign(x):
+    """``x`` or ``-x``, whichever has first entry ``+1``; both attain the
+    same sign-vector norms, and the exact oracles pin the same entry."""
+    return x if x[0] > 0 else -x
 
 
 def _scale_columns_by_inverse(b, d, row_gate, what):
@@ -148,18 +225,24 @@ def pietsch_factorize(
     When ``eta_cap`` is given and ``eta`` exceeds it, raises
     :class:`InfeasibleFactorization` instead of constructing the blended
     factorization.
+
+    The solve runs on ``B 2^-e`` at ``alpha 2^-e`` (module docstring); ``t``,
+    ``t_norm``, ``alpha_effective`` and the residual are scaled back by
+    ``2^e``, ``eta`` and ``eta_cap`` by ``2^(2e)``.
     """
     b = as_matrix(b, "B")
     if b.shape[1] == 0:
         raise DomainError("B must have at least one column")
-    fro_b = frobenius_norm(b)
-    if fro_b == 0.0:
+    if frobenius_norm(b) == 0.0:
         raise DomainError("B must be nonzero")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
 
+    b, e = _unit_scaled(b)
+    fro_b = frobenius_norm(b)
+    unit_alpha = _ldexp(float(alpha), -e)
     s = b.shape[1]
-    objective = PietschObjective(b, alpha)
+    objective = PietschObjective(b, unit_alpha)
     run = emd_minimize(
         objective,
         s,
@@ -169,26 +252,28 @@ def pietsch_factorize(
     )
     f = np.maximum(run.best_point, 0.0)
     f /= f.sum()
-    alpha_sq = float(alpha) ** 2
-    eta = _certified_value(_shifted_gram(objective.gram, alpha_sq, f))
+    top = objective.pair(f, CERTIFICATE_EIG_TOL, objective.alpha_sq)
+    eta = top.value + top.residual
 
-    if eta_cap is not None and eta > eta_cap:
+    if eta_cap is not None and eta > _ldexp(eta_cap, -2 * e):
+        full_eta = _ldexp(eta, 2 * e)
         raise InfeasibleFactorization(
-            f"objective stalled at {eta:.6g} > cap {eta_cap:.6g} "
+            f"objective stalled at {full_eta:.6g} > cap {eta_cap:.6g} "
             f"for alpha={alpha:.6g}",
             alpha=alpha,
-            eta=eta,
+            eta=full_eta,
         )
 
-    fact = _build_pietsch(b, fro_b, f, alpha, eta)
+    fact = _build_pietsch(b, fro_b, f, unit_alpha, eta)
     if fact.t_norm <= fact.alpha_effective * (1.0 + NORM_SLACK):
-        return fact
+        return _rescaled(fact, e)
     # Eigensolver slack let ||T|| creep past alpha; rebuild with the measured
     # excess folded into eta, which restores the certificate.
     bumped = max(eta, 0.0) + (fact.t_norm**2 - fact.alpha_effective**2) / s
-    fact = _build_pietsch(b, fro_b, f, alpha, bumped)
+    fact = _build_pietsch(b, fro_b, f, unit_alpha, bumped)
     if fact.t_norm <= fact.alpha_effective * (1.0 + NORM_SLACK):
-        return fact
+        return _rescaled(fact, e)
+    fact = _rescaled(fact, e)
     raise SolverError(
         f"factor norm {fact.t_norm:.9g} exceeds certificate "
         f"{fact.alpha_effective:.9g} after rebuild"
@@ -259,7 +344,10 @@ def pietsch_optimal_alpha(
     produced along the way.  Bisection stops once
     ``alpha_hi / alpha_lo <= K_P (1 + rel_tol)`` or the search interval has
     collapsed to relative width ``rel_tol``; exhausting ``max_probes`` first
-    returns the current bracket flagged as not converged.
+    returns the current bracket flagged as not converged.  The bisection
+    runs at unit scale, like :func:`pietsch_factorize`, and the bracket
+    ends and ``best`` are scaled back; ``lower_witness`` has first entry
+    ``+1``.
     """
     b = as_matrix(b, "B")
     if b.shape[1] == 0 or frobenius_norm(b) == 0.0:
@@ -267,9 +355,10 @@ def pietsch_optimal_alpha(
     if not 0.0 < rel_tol < 1.0:
         raise DomainError("rel_tol must lie in (0, 1)")
 
+    b, e = _unit_scaled(b)
     s = b.shape[1]
-    gram = b.T @ b
-    top = max_eig_pair(gram, CERTIFICATE_EIG_TOL)
+    objective = PietschObjective(b, 0.0)
+    top = objective.pair(np.ones(s), CERTIFICATE_EIG_TOL, 0.0)
     spec = math.sqrt(max(top.value, 0.0))
 
     lo, witness = improve_sign_witness_inf2(b, np.ones(s))
@@ -302,9 +391,7 @@ def pietsch_optimal_alpha(
         if upper < alpha_hi:
             alpha_hi = upper
             best = fact
-        pair = max_eig_pair(
-            _shifted_gram(gram, mid**2, fact.d**2), OBJECTIVE_EIG_TOL
-        )
+        pair = objective.pair(fact.d**2, OBJECTIVE_EIG_TOL, mid**2)
         cand, cand_x = improve_sign_witness_inf2(b, np.sign(pair.vector))
         if cand > lo:
             lo, witness = cand, cand_x
@@ -318,10 +405,10 @@ def pietsch_optimal_alpha(
             hi_b = lo_b
 
     return NormBracket(
-        alpha_lo=lo * (1.0 - 1e-12),
-        alpha_hi=alpha_hi,
-        best=best,
-        lower_witness=witness,
+        alpha_lo=_ldexp(lo * (1.0 - 1e-12), e),
+        alpha_hi=_ldexp(alpha_hi, e),
+        best=None if best is None else _rescaled(best, e),
+        lower_witness=_canonical_sign(witness),
         converged=converged,
         probes=probes,
     )
