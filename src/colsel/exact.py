@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .linalg import as_matrix
+from .linalg import _ldexp, _unit_scaled, as_matrix
 
 ENUMERATION_CAP = 22
 _BLOCK_BITS = 15
@@ -71,8 +71,9 @@ def norm_inf2_exact(b):
     b = _check_enumerable(b, "B")
     if b.shape[1] == 0:
         return 0.0, np.zeros(0)
+    b, e = _unit_scaled(b)  # exact, so the squares neither overflow nor underflow
     sq, x = _enumerate_max(b, lambda v: np.sum(v * v, axis=0))
-    return math.sqrt(sq), x
+    return _ldexp(math.sqrt(sq), e), x
 
 
 def norm_inf1_exact(g):

@@ -57,6 +57,14 @@ def _unit_scaled(a):
     return np.ldexp(a, -e), e
 
 
+def _ldexp(x, e):
+    """``x * 2**e``, saturating to ``+-inf`` beyond the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def frobenius_norm(a):
     """Frobenius norm of a dense matrix."""
     a, e = _unit_scaled(as_matrix(a))

@@ -44,14 +44,11 @@ class SelectConfig:
     """Tunables for the selection pipelines.
 
     ``emd_iterations`` is the evaluation budget of each inner solve.
-    ``shortcut`` accepts the full column set up front whenever the whole
-    matrix already passes the metric check.
     """
 
     emd_iterations: int = 5000
     norm_threshold: float = KT_NORM_THRESHOLD
     kappa_threshold: float = BT_KAPPA_THRESHOLD
-    shortcut: bool = False
 
 
 @dataclass
@@ -136,18 +133,6 @@ def _doubling_search(a, seed, config, reduce_step, metric, accepts):
     best_metric = metric(a[:, tau_star])
     log = []
     attempts = 0
-
-    if config.shortcut:
-        full_metric = metric(a)
-        if accepts(full_metric):
-            log.append((n, 0, n, full_metric))
-            return SelectionReport(
-                tau=np.arange(n, dtype=np.int64),
-                accepted_metric=full_metric,
-                attempts=0,
-                per_round_log=log,
-                seed=seed,
-            )
 
     for round_index, s in enumerate(_size_schedule(n)):
         tries = max(1, math.ceil(8.0 * math.log2(s))) if s > 1 else 1

@@ -93,3 +93,16 @@ def test_monotonicity_under_column_removal():
     for keep in ([0, 1, 2], [1, 3, 5], [0, 5]):
         sub, _ = norm_inf2_exact(b[:, keep])
         assert sub <= full + 1e-12
+
+
+@pytest.mark.parametrize("c", [2.0**-600, 1e-200, 1e200, 2.0**600])
+def test_inf2_scales_with_the_input(c):
+    # Summing squared entries once returned 0.0 at 1e-200 and inf at 1e160.
+    b = np.random.default_rng(5).standard_normal((5, 9))
+    unit, unit_x = norm_inf2_exact(b)
+    value, x = norm_inf2_exact(c * b)
+    if math.frexp(c)[0] == 0.5:  # a power of two scales exactly
+        assert value == c * unit
+        assert np.array_equal(x, unit_x)
+    else:
+        assert value == pytest.approx(c * unit, rel=1e-12, abs=0.0)

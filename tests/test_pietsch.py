@@ -1,18 +1,23 @@
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colsel import (
     DomainError,
     InfeasibleFactorization,
     PIETSCH_CONSTANT,
+    frobenius_norm,
+    groth_factorize,
     groth_optimal_alpha,
     hollow_gram,
+    is_standardized,
     kt_select,
     max_eig_pair,
+    norm_inf1_exact,
     norm_inf2_exact,
     pietsch_factorize,
     pietsch_objective,
@@ -20,6 +25,7 @@ from colsel import (
     spectral_norm,
     standardize,
 )
+from colsel.linalg import STANDARDIZE_ATOL
 from colsel.pietsch import CERTIFICATE_EIG_TOL, OBJECTIVE_EIG_TOL, PietschObjective
 
 from oracles import jacobi_max_eigenvalue
@@ -278,51 +284,137 @@ def test_kt_select_wide_input_only_diagonalizes_the_short_side(monkeypatch):
     assert orders and max(orders) <= 16
 
 
-@pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
-def test_factorize_scales_with_the_input(c):
-    # At 1e150 the Gram entries once overflowed and the solve raised
-    # SolverError "weight 0 vanished".
-    b = np.random.default_rng(3).standard_normal((6, 9))
-    unit = pietsch_factorize(b, 100.0)
-    fact = pietsch_factorize(c * b, c * 100.0)
-    assert np.array_equal(fact.d, unit.d)
+class Program(NamedTuple):
+    """A factorization program as the scaling tests see it."""
+
+    factorize: Callable
+    optimal_alpha: Callable
+    exact: Callable
+    power: int  # alpha enters the program as alpha**power
+    of: Callable  # a test matrix B -> the program's input
+    join: Callable  # (T, d) -> the input the factorization reconstructs
+    level: float  # alpha for test_factorize_scales_with_the_input
+
+
+PIETSCH = Program(
+    pietsch_factorize, pietsch_optimal_alpha, norm_inf2_exact, 2,
+    lambda b: b, lambda t, d: t * d, 100.0,
+)
+GROTH = Program(
+    groth_factorize, groth_optimal_alpha, norm_inf1_exact, 1,
+    lambda b: hollow_gram(standardize(b)), lambda t, d: d[:, None] * t * d[None, :], 10.0,
+)
+
+
+def _cases(pietsch_scales, groth_scales):
+    """Pietsch cases are named by the scale alone, Grothendieck ones ``groth-<scale>``."""
+    return [pytest.param(PIETSCH, c, id=str(c)) for c in pietsch_scales] + [
+        pytest.param(GROTH, c, id=f"groth-{c}") for c in groth_scales
+    ]
+
+
+def check_scaled_invariants(program, a, fact):
+    # colsel's norms scale by powers of two, so they stay finite at 1e200.
+    assert np.sum(fact.d**2) == pytest.approx(1.0, abs=1e-10)
+    recon = frobenius_norm(a - program.join(fact.t, fact.d))
+    assert recon <= 1e-8 * max(1.0, frobenius_norm(a))
+    assert fact.t_norm <= fact.alpha_effective * (1 + 1e-8)
+    assert spectral_norm(fact.t) <= fact.alpha_effective * (1 + 1e-8)
+
+
+@pytest.mark.parametrize("program, c", _cases([1e-150, 1.0, 1e150], [1e-150, 1.0, 1e150, 1e200]))
+def test_factorize_scales_with_the_input(program, c):
+    # At 1e150 the Pietsch Gram entries once overflowed and the solve raised
+    # SolverError "weight 0 vanished"; at 1e200 the Grothendieck solve raised
+    # DomainError on a non-finite matrix.
+    a = program.of(np.random.default_rng(3).standard_normal((6, 9)))
+    unit = program.factorize(a, program.level)
+    fact = program.factorize(c * a, c * program.level)
+    if unit.eta <= 0.0:  # feasible at the uniform start, which c cannot perturb
+        assert np.array_equal(fact.d, unit.d)
+    else:
+        np.testing.assert_allclose(fact.d, unit.d, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(fact.t, c * unit.t, rtol=1e-12, atol=0.0)
     for name in ("t_norm", "alpha_effective"):
         assert getattr(fact, name) == pytest.approx(c * getattr(unit, name), rel=1e-12)
-    assert fact.eta == pytest.approx(c * c * unit.eta, rel=1e-12)
-    assert fact.reconstruction_residual <= 1e-12 * c * np.linalg.norm(b, "fro")
-    check_factorization_invariants(c * b, fact)
+    assert fact.eta == pytest.approx(c**program.power * unit.eta, rel=1e-12)
+    assert fact.reconstruction_residual <= 1e-12 * c * np.linalg.norm(a, "fro")
+    check_scaled_invariants(program, c * a, fact)
 
 
-@pytest.mark.parametrize("c", [2.0**-500, 2.0**500])
-def test_infeasible_factorization_scales_exactly(c):
-    b = standardize(np.random.default_rng(3).standard_normal((4, 8)))
-    alpha = 0.8 * norm_inf2_exact(b)[0]
-    unit = pietsch_factorize(b, alpha)
-    fact = pietsch_factorize(c * b, c * alpha)
+@pytest.mark.parametrize("program, c", _cases([2.0**-500, 2.0**500], [2.0**-500, 2.0**500]))
+def test_infeasible_factorization_scales_exactly(program, c):
+    a = program.of(standardize(np.random.default_rng(3).standard_normal((4, 8))))
+    alpha = 0.8 * program.exact(a)[0]
+    unit = program.factorize(a, alpha)
+    fact = program.factorize(c * a, c * alpha)
+    scale_eta = c**program.power
     assert unit.eta > 0.0
     assert np.array_equal(fact.d, unit.d)
     assert np.array_equal(fact.t, c * unit.t)
-    assert fact.eta == c * c * unit.eta
+    assert fact.eta == scale_eta * unit.eta
     assert fact.alpha_effective == c * unit.alpha_effective
     assert fact.t_norm == c * unit.t_norm
     with pytest.raises(InfeasibleFactorization) as unit_info:
-        pietsch_factorize(b, alpha, eta_cap=0.0)
+        program.factorize(a, alpha, eta_cap=0.0)
     with pytest.raises(InfeasibleFactorization) as scaled_info:
-        pietsch_factorize(c * b, c * alpha, eta_cap=0.0)
+        program.factorize(c * a, c * alpha, eta_cap=0.0)
     assert scaled_info.value.alpha == c * alpha
-    assert scaled_info.value.eta == c * c * unit_info.value.eta
+    assert scaled_info.value.eta == scale_eta * unit_info.value.eta
 
 
-@pytest.mark.parametrize("c", [2.0**-600, 1e-150, 1e150])
-def test_bracket_scales_with_the_input(c):
-    b = standardize(np.random.default_rng(6).standard_normal((5, 8)))
-    unit = pietsch_optimal_alpha(b, rel_tol=0.05, emd_budget=400)
-    scaled = pietsch_optimal_alpha(c * b, rel_tol=0.05, emd_budget=400)
+@pytest.mark.parametrize(
+    "program, c", _cases([2.0**-600, 1e-150, 1e150], [2.0**-600, 1e-200, 1e-150, 1e150])
+)
+def test_bracket_scales_with_the_input(program, c):
+    # At 1e-200 the Grothendieck bisection point once underflowed to 0 and
+    # the bracket raised DomainError "alpha must be positive".
+    a = program.of(standardize(np.random.default_rng(6).standard_normal((5, 8))))
+    unit = program.optimal_alpha(a, rel_tol=0.05, emd_budget=400)
+    scaled = program.optimal_alpha(c * a, rel_tol=0.05, emd_budget=400)
     assert scaled.alpha_lo == pytest.approx(c * unit.alpha_lo, rel=1e-12)
     assert scaled.alpha_hi == pytest.approx(c * unit.alpha_hi, rel=1e-12)
     assert np.array_equal(scaled.lower_witness, unit.lower_witness)
     assert scaled.probes == unit.probes
+
+
+def _hollow(b):
+    g = b.T @ b
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+@pytest.mark.parametrize("program", [PIETSCH, GROTH], ids=["pietsch", "groth"])
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(
+        ["gaussian", "rank-one", "zero-column", "duplicate-columns", "wild-columns",
+         "near-standardized"]
+    ),
+    m=st.integers(1, 6),
+    s=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+    c=st.sampled_from([1.0, 2.0**-500, 2.0**500, 2.0**-600, 2.0**600]),
+)
+def test_bracket_is_sound(program, kind, m, s, seed, c):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal((m, s))
+    if kind == "rank-one":
+        b = np.outer(rng.standard_normal(m), rng.standard_normal(s))
+    elif kind == "zero-column":
+        b[:, rng.integers(s)] = 0.0
+    elif kind == "duplicate-columns":
+        b[:, s // 2 :] = b[:, : s - s // 2]
+    elif kind == "wild-columns":
+        b *= 10.0 ** rng.uniform(-8.0, 8.0, s)
+    elif kind == "near-standardized":
+        b = standardize(b) * (1.0 + STANDARDIZE_ATOL * rng.uniform(-1.0, 1.0, s))
+        assert is_standardized(b)
+    a = b if program is PIETSCH else _hollow(b)
+    assume(a.any() or program is GROTH)  # the Pietsch bracket refuses B = 0
+    exact, _ = program.exact(a)
+    bracket = program.optimal_alpha(c * a, emd_budget=400)
+    assert bracket.alpha_lo <= c * exact <= bracket.alpha_hi
 
 
 def test_bracket_witnesses_are_canonical():

@@ -8,7 +8,6 @@ import pytest
 from colsel import (
     DomainError,
     PIETSCH_CONSTANT,
-    SelectConfig,
     bt_select,
     condition_number,
     cond_reduce,
@@ -190,14 +189,6 @@ def test_bt_determinism():
     r2 = bt_select(DOUBLE_ID_8, seed=13)
     assert np.array_equal(r1.tau, r2.tau)
     assert r1.per_round_log == r2.per_round_log
-
-
-def test_shortcut_returns_all_columns():
-    a = standardize(rng_from(10).standard_normal((32, 8)))
-    config = SelectConfig(shortcut=True)
-    report = kt_select(a, seed=0, config=config)
-    assert np.array_equal(report.tau, np.arange(8))
-    assert report.attempts == 0
 
 
 def test_tiny_matrix_single_round():
