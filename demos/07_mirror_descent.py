@@ -32,8 +32,17 @@ print("\n== the eigenvalue objective behind the factorizations ==")
 b = cs.standardize(rng.standard_normal((6, 10)))
 alpha = 0.9 * cs.norm_inf2_exact(b)[0]  # infeasible: minimum stays positive
 evaluator = cs.pietsch.PietschObjective(b, alpha)
-run = cs.emd_minimize(evaluator, 10, 400, "adaptive", record_trace=True)
-trace = np.minimum.accumulate(run.trace)
+values = []
+
+
+def recorded(f):
+    sample = evaluator(f)
+    values.append(sample.value)
+    return sample
+
+
+run = cs.emd_minimize(recorded, 10, 400, "adaptive")
+trace = np.minimum.accumulate(values)
 print(f"lambda_max value: start {trace[0]:.4f} -> best {trace[-1]:.4f} "
       f"(never reaches 0 because alpha is below the norm)")
 print(f"running best after 1, 10, 100, 400 steps: "

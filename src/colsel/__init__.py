@@ -8,8 +8,8 @@ double as certified approximation algorithms for the NP-hard (inf->2) and
 (inf->1) operator norms.
 """
 
-from .emd import EmdRun, SubgradientSample, emd_minimize, emd_step, uniform_point
-from .errors import DomainError, InfeasibleFactorization, ParseError, SolverError
+from .emd import EmdRun, SubgradientSample, emd_minimize, emd_step
+from .errors import DomainError, ParseError, SolverError
 from .exact import ENUMERATION_CAP, norm_inf1_exact, norm_inf2_exact
 from .grothendieck import (
     GROTHENDIECK_LOWER,
@@ -52,7 +52,6 @@ from .pietsch import (
 from .select import (
     BT_KAPPA_THRESHOLD,
     KT_NORM_THRESHOLD,
-    SelectConfig,
     SelectionReport,
     bt_select,
     cond_reduce,
@@ -73,13 +72,11 @@ __all__ = [
     "GROTHENDIECK_LOWER",
     "GROTHENDIECK_UPPER",
     "GrothendieckFactorization",
-    "InfeasibleFactorization",
     "KT_NORM_THRESHOLD",
     "NormBracket",
     "ParseError",
     "PIETSCH_CONSTANT",
     "PietschFactorization",
-    "SelectConfig",
     "SelectionReport",
     "SolverError",
     "SubgradientSample",
@@ -115,6 +112,5 @@ __all__ = [
     "spectral_norm",
     "stable_rank",
     "standardize",
-    "uniform_point",
     "write_report",
 ]

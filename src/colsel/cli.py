@@ -19,19 +19,16 @@ import time
 from dataclasses import asdict, dataclass
 
 from . import montecarlo
-from .errors import DomainError, InfeasibleFactorization, ParseError, SolverError
+from .emd import EMD_BUDGET
+from .errors import DomainError, ParseError, SolverError
 from .exact import norm_inf1_exact, norm_inf2_exact
+from .factor import REL_TOL
 from .grothendieck import groth_factorize, groth_optimal_alpha
 from .io import load_matrix, write_report
 from .linalg import is_standardized, stable_rank, standardize
+from .montecarlo import DEFAULT_ORACLE_CAP
 from .pietsch import pietsch_factorize, pietsch_optimal_alpha
-from .select import (
-    BT_KAPPA_THRESHOLD,
-    KT_NORM_THRESHOLD,
-    SelectConfig,
-    bt_select,
-    kt_select,
-)
+from .select import BT_KAPPA_THRESHOLD, KT_NORM_THRESHOLD, bt_select, kt_select
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 3
@@ -43,12 +40,12 @@ class RunConfig:
     """Resolved run configuration, echoed into every report."""
 
     seed: int = 0
-    emd_iterations: int = 5000
-    rel_tol: float = 0.05
+    emd_iterations: int = EMD_BUDGET
+    rel_tol: float = REL_TOL
     standardize_input: bool = False
     kt_norm_threshold: float = KT_NORM_THRESHOLD
     bt_kappa_threshold: float = BT_KAPPA_THRESHOLD
-    oracle_cap: int = 20
+    oracle_cap: int = DEFAULT_ORACLE_CAP
 
     def validate(self):
         if self.emd_iterations < 1 or self.oracle_cap < 1:
@@ -73,8 +70,8 @@ def _build_parser():
     def add_common(p, needs_alpha=False):
         p.add_argument("matrix", help="path to the input matrix")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iters", type=int, default=5000, help="mirror-descent budget")
-        p.add_argument("--rel-tol", type=float, default=0.05)
+        p.add_argument("--iters", type=int, default=EMD_BUDGET, help="mirror-descent budget")
+        p.add_argument("--rel-tol", type=float, default=REL_TOL)
         p.add_argument("--format", choices=["csv", "matrix-market"], default=None)
         p.add_argument("--standardize", action="store_true",
                        help="rescale columns to unit norm before running")
@@ -105,18 +102,16 @@ def _build_parser():
     p = sub.add_parser("oracle", help="exact norm by sign enumeration")
     add_common(p)
     p.add_argument("--kind", choices=["inf2", "inf1"], required=True)
-    p.add_argument("--oracle-cap", type=int, default=20)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
 
     p = sub.add_parser("experiment", help="random-submatrix norm experiments")
     add_common(p)
     p.add_argument("--kind", choices=["inf2", "inf1"], default="inf2")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--model", choices=["p", "r", "both"], default="both",
-                   help="which sampling model to report (inf2 only)")
     p.add_argument("--regime", action="store_true",
                    help="assert the small-sample regime for the inf1 bound")
-    p.add_argument("--oracle-cap", type=int, default=20)
+    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     return parser
 
 
@@ -166,13 +161,8 @@ def _experiment_result(args, a, config):
             a, args.delta, args.trials, seed=config.seed, oracle_cap=config.oracle_cap
         )
         poisson_ok, lhs, rhs = montecarlo.poissonization_check(p_res, r_res)
-        rows = []
-        if args.model in ("r", "both"):
-            rows.append(r_res)
-        if args.model in ("p", "both"):
-            rows.append(p_res)
         return {
-            "results": rows,
+            "results": [r_res, p_res],
             "poissonization": {"ok": poisson_ok, "lhs": lhs, "rhs": rhs},
         }
     res = montecarlo.check_inf1_reduction(
@@ -192,7 +182,7 @@ def _run(args):
         emd_iterations=args.iters,
         rel_tol=args.rel_tol,
         standardize_input=args.standardize,
-        oracle_cap=getattr(args, "oracle_cap", 20),
+        oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),
     )
     if args.command == "kt":
         config.kt_norm_threshold = args.threshold
@@ -210,16 +200,13 @@ def _run(args):
             raise DomainError(
                 "input columns are not unit-norm; pass --standardize to rescale"
             )
-        select_config = SelectConfig(
-            emd_iterations=config.emd_iterations,
-            norm_threshold=config.kt_norm_threshold,
-            kappa_threshold=config.bt_kappa_threshold,
-        )
         if args.command == "kt":
-            report = kt_select(a, seed=config.seed, config=select_config)
+            report = kt_select(a, config.seed, threshold=config.kt_norm_threshold,
+                               emd_iterations=config.emd_iterations)
             result = _selection_result(report, a, "norm_of_tau")
         else:
-            report = bt_select(a, seed=config.seed, config=select_config)
+            report = bt_select(a, config.seed, threshold=config.bt_kappa_threshold,
+                               emd_iterations=config.emd_iterations)
             result = _selection_result(report, a, "kappa_of_tau")
     elif args.command == "pietsch":
         fact = pietsch_factorize(a, args.alpha, config.emd_iterations)
@@ -271,7 +258,7 @@ def main(argv=None):
     except (ParseError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
-    except (SolverError, InfeasibleFactorization) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return SOLVER_ERROR
 

@@ -23,7 +23,7 @@ once it brackets the best value within ``GAP_RTOL`` (see
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -45,6 +45,9 @@ Objective = Callable[[np.ndarray], SubgradientSample]
 # them), so a solve is not ended as soon as the bound clears ``stop_below``.
 GAP_RTOL = 0.1
 
+# Default evaluation budget of the mirror-descent solve in a factorization.
+EMD_BUDGET = 5000
+
 
 @dataclass
 class EmdRun:
@@ -57,12 +60,10 @@ class EmdRun:
     """
 
     iterations: int
-    step_mode: str
     best_value: float
     best_point: np.ndarray
     exit: str
     lower_bound: float
-    trace: Optional[list] = field(default=None, repr=False)
 
 
 class _ErgodicCut:
@@ -86,12 +87,6 @@ class _ErgodicCut:
         return self.offset + float(self.theta.min())
 
 
-def uniform_point(s):
-    if s < 1:
-        raise DomainError("simplex dimension must be at least 1")
-    return np.full(s, 1.0 / s)
-
-
 def emd_step(weights, beta, theta):
     """One multiplicative reweighting, computed in log space.
 
@@ -110,7 +105,6 @@ def emd_minimize(
     iterations: int,
     step_mode: str = "fixed-horizon",
     stop_below: Optional[float] = None,
-    record_trace: bool = False,
 ) -> EmdRun:
     """Minimize ``objective`` over the ``s``-dimensional probability simplex.
 
@@ -149,8 +143,10 @@ def emd_minimize(
         raise DomainError("iterations must be at least 1")
     if step_mode not in ("fixed-horizon", "adaptive"):
         raise DomainError(f"unknown step mode {step_mode!r}")
+    if s < 1:
+        raise DomainError("simplex dimension must be at least 1")
 
-    weights = uniform_point(s)
+    weights = np.full(s, 1.0 / s)
     logs = math.log(s) if s > 1 else 0.0
 
     best_value = math.inf
@@ -158,7 +154,6 @@ def emd_minimize(
     lower_bound = -math.inf
     every_cut = _ErgodicCut(s)
     recent_cuts = _ErgodicCut(s)
-    trace = [] if record_trace else None
     done = 0
     exit_reason = "budget"
 
@@ -169,8 +164,6 @@ def emd_minimize(
             raise DomainError(f"objective returned non-finite value {value!r}")
         theta = np.asarray(theta, dtype=float)
         done = t
-        if trace is not None:
-            trace.append(value)
         if value < best_value:
             best_value = value
             best_point = weights
@@ -208,10 +201,8 @@ def emd_minimize(
 
     return EmdRun(
         iterations=done,
-        step_mode=step_mode,
         best_value=best_value,
         best_point=best_point,
         exit=exit_reason,
         lower_bound=lower_bound,
-        trace=trace,
     )

@@ -9,19 +9,6 @@ class SolverError(RuntimeError):
     """An iterative solver failed to meet its tolerance within its budget."""
 
 
-class InfeasibleFactorization(RuntimeError):
-    """Factorization at the requested norm level could not be certified.
-
-    Carries the best objective value reached (``eta``) and the level
-    ``alpha`` that was attempted.
-    """
-
-    def __init__(self, message, alpha, eta):
-        super().__init__(message)
-        self.alpha = alpha
-        self.eta = eta
-
-
 class ParseError(ValueError):
     """A matrix file could not be parsed.
 

@@ -15,21 +15,22 @@ real Grothendieck constant, known to lie in
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .emd import SubgradientSample
+from .emd import EMD_BUDGET, SubgradientSample
 from .errors import DomainError
 from .factor import (
     CERTIFICATE_EIG_TOL,
     OBJECTIVE_EIG_TOL,
+    REL_TOL,
     Factorization,
     NormBracket,
     _bracket,
     _factorize,
+    _finite_norm,
 )
-from .linalg import _require_symmetric, as_matrix, frobenius_norm, max_eig_pair
+from .linalg import _require_symmetric, as_matrix, max_eig_pair
 
 GROTHENDIECK_LOWER = math.pi / 2.0
 GROTHENDIECK_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -116,13 +117,7 @@ def groth_objective(g, alpha, f):
     return GrothObjective(g, alpha)(f)
 
 
-def groth_factorize(
-    g,
-    alpha,
-    emd_budget=5000,
-    *,
-    eta_cap: Optional[float] = None,
-) -> GrothendieckFactorization:
+def groth_factorize(g, alpha, emd_budget=EMD_BUDGET) -> GrothendieckFactorization:
     """Factor symmetric ``G = D T D`` with ``||T|| <= alpha_effective``.
 
     Mirrors the Pietsch construction: mirror descent with an early exit at
@@ -130,14 +125,16 @@ def groth_factorize(
     blend ``(alpha f + eta) / (alpha + eta s)`` with
     ``alpha_effective = alpha + eta s``.  The solve runs at unit scale
     (:mod:`colsel.factor`), so ``t``, ``t_norm``, ``alpha_effective``,
-    ``eta`` and the residual all scale with ``G``.
+    ``eta`` and the residual all scale with ``G``.  A ``G`` whose Frobenius
+    norm overflows is refused.
     """
     g = _require_symmetric(g, "G")
     if g.shape[0] == 0:
         raise DomainError("G must have at least one column")
+    _finite_norm(g, "G")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return _factorize(GrothObjective, g, alpha, emd_budget, eta_cap)
+    return _factorize(GrothObjective, g, alpha, emd_budget)
 
 
 def improve_sign_witness_inf1(g, x):
@@ -160,8 +157,8 @@ def improve_sign_witness_inf1(g, x):
 
 def groth_optimal_alpha(
     g,
-    rel_tol=0.05,
-    emd_budget=5000,
+    rel_tol=REL_TOL,
+    emd_budget=EMD_BUDGET,
     *,
     max_probes=48,
 ) -> NormBracket:
@@ -170,7 +167,8 @@ def groth_optimal_alpha(
     Same scheme as the Pietsch bracket: sign-vector probes below,
     factorization norms above, ratio target
     ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``; it runs at unit
-    scale, and ``lower_witness`` has first entry ``+1``.
+    scale, and ``lower_witness`` has first entry ``+1``.  A ``G`` whose
+    Frobenius norm overflows is refused.
     """
     g = _require_symmetric(g, "G")
     if g.shape[0] == 0:
@@ -179,7 +177,7 @@ def groth_optimal_alpha(
         raise DomainError("rel_tol must lie in (0, 1)")
 
     s = g.shape[0]
-    if frobenius_norm(g) == 0.0:
+    if _finite_norm(g, "G") == 0.0:
         fact = Factorization(
             d=np.full(s, 1.0 / math.sqrt(s)),
             t=np.zeros((s, s)),

@@ -223,45 +223,29 @@ def _format_float(x):
     return out
 
 
-def to_jsonable(obj):
-    """Convert arrays, numpy scalars, dataclasses, and tuples to JSON shapes."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: to_jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def dumps_report(obj):
-    """Serialize to deterministic JSON: sorted keys, 17-digit floats."""
-    obj = to_jsonable(obj)
+    """Serialize to deterministic JSON: sorted keys, 17-digit floats.
+
+    Arrays and tuples become lists, numpy scalars Python numbers, and
+    dataclasses objects of their fields; keys are sorted by ``str(key)``.
+    """
     pieces = []
     _emit(obj, pieces)
     return "".join(pieces) + "\n"
 
 
 def _emit(obj, out):
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
+    if isinstance(obj, (float, np.floating)):
         out.append(_format_float(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
@@ -270,13 +254,17 @@ def _emit(obj, out):
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
-        for i, k in enumerate(sorted(obj)):
+        for i, k in enumerate(sorted(obj, key=str)):
             if i:
                 out.append(", ")
             out.append(json.dumps(str(k)))
             out.append(": ")
             _emit(obj[k], out)
         out.append("}")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), out)
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
 

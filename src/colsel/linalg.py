@@ -17,6 +17,8 @@ from .errors import DomainError, SolverError
 SYMMETRY_ATOL = 1e-10
 STANDARDIZE_ATOL = 1e-8
 ZERO_COLUMN_ATOL = 1e-12
+# Singular values at or below this fraction of the largest count as zero.
+RANK_RTOL = 1e-12
 
 
 def as_matrix(a, name="matrix"):
@@ -68,7 +70,7 @@ def _ldexp(x, e):
 def frobenius_norm(a):
     """Frobenius norm of a dense matrix."""
     a, e = _unit_scaled(as_matrix(a))
-    return math.ldexp(math.sqrt(float(np.sum(a * a))), e)
+    return _ldexp(math.sqrt(float(np.sum(a * a))), e)
 
 
 class EigPair(NamedTuple):
@@ -129,24 +131,24 @@ def spectral_norm(a, tol=1e-10):
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
     pair = max_eig_pair(gram, tol)
-    return math.ldexp(math.sqrt(max(pair.value, 0.0)), e)
+    return _ldexp(math.sqrt(max(pair.value, 0.0)), e)
 
 
-def stable_rank(a, tol=1e-10):
+def stable_rank(a):
     """``||A||_F^2 / ||A||^2``, an analytic surrogate for the rank."""
     a = as_matrix(a)
     fro = frobenius_norm(a)
     if fro == 0.0:
         raise DomainError("stable rank is undefined for the zero matrix")
-    s = spectral_norm(a, tol)
+    s = spectral_norm(a)
     return (fro / s) ** 2
 
 
-def condition_number(a, tol=1e-12):
+def condition_number(a):
     """Ratio of the extreme singular values over the full domain sphere.
 
     Returns ``inf`` when the smallest singular value does not exceed
-    ``tol`` times the largest (rank-deficient within tolerance).
+    ``RANK_RTOL`` times the largest (rank-deficient within tolerance).
     """
     a = as_matrix(a)
     if a.shape[1] == 0:
@@ -154,26 +156,31 @@ def condition_number(a, tol=1e-12):
     sv = np.linalg.svd(a, compute_uv=False)
     smax = float(sv[0])
     smin = float(sv[-1]) if len(sv) >= a.shape[1] else 0.0
-    if smax == 0.0 or smin <= tol * smax:
+    if smax == 0.0 or smin <= RANK_RTOL * smax:
         return math.inf
     return smax / smin
 
 
 def standardize(a):
-    """Rescale every column to unit 2-norm."""
-    a = as_matrix(a)
-    norms = np.sqrt(np.sum(a * a, axis=0))
-    bad = np.nonzero(norms <= ZERO_COLUMN_ATOL)[0]
+    """Rescale every column to unit 2-norm.
+
+    The norms are taken at unit scale (:func:`_unit_scaled`), so entries
+    whose squares leave the float range are handled exactly; a column whose
+    norm is at most ``ZERO_COLUMN_ATOL`` is refused.
+    """
+    a, e = _unit_scaled(as_matrix(a))
+    norms = np.sqrt(np.sum(a * a, axis=0))  # the column norms times 2**-e
+    bad = np.nonzero(norms <= _ldexp(ZERO_COLUMN_ATOL, -e))[0]
     if bad.size:
         raise DomainError(f"column {int(bad[0])} has (near-)zero norm; cannot standardize")
     return a / norms
 
 
-def is_standardized(a, atol=STANDARDIZE_ATOL):
-    """True when every column 2-norm is within ``atol`` of one."""
+def is_standardized(a):
+    """True when every column 2-norm is within ``STANDARDIZE_ATOL`` of one."""
     a = as_matrix(a)
     norms = np.sqrt(np.sum(a * a, axis=0))
-    return bool(np.all(np.abs(norms - 1.0) <= atol))
+    return bool(np.all(np.abs(norms - 1.0) <= STANDARDIZE_ATOL))
 
 
 def hollow_gram(a):

@@ -64,12 +64,12 @@ def sample_projector(model, n, delta, rng):
     """Sorted indices kept by one draw of the coordinate projector."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
-    if model in ("P", "P_delta"):
+    if model == "P":
         s = int(math.floor(delta * n))
         if s == 0:
             return np.zeros(0, dtype=np.int64)
         return np.sort(rng.choice(n, size=s, replace=False).astype(np.int64))
-    if model in ("R", "R_delta"):
+    if model == "R":
         keep = rng.random(n) < delta
         return np.nonzero(keep)[0].astype(np.int64)
     raise DomainError(f"unknown sampling model {model!r}")

@@ -15,21 +15,22 @@ taken from the small Gram ``B B^T``, which shares the nonzero spectrum of
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
-from .emd import SubgradientSample
+from .emd import EMD_BUDGET, SubgradientSample
 from .errors import DomainError, SolverError
 from .factor import (
     CERTIFICATE_EIG_TOL,
     OBJECTIVE_EIG_TOL,
+    REL_TOL,
     Factorization,
     NormBracket,
     _bracket,
     _factorize,
+    _finite_norm,
 )
-from .linalg import EigPair, as_matrix, frobenius_norm, max_eig_pair
+from .linalg import EigPair, as_matrix, max_eig_pair
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -138,13 +139,7 @@ def pietsch_objective(b, alpha, f):
     return PietschObjective(b, alpha)(f)
 
 
-def pietsch_factorize(
-    b,
-    alpha,
-    emd_budget=5000,
-    *,
-    eta_cap: Optional[float] = None,
-) -> PietschFactorization:
+def pietsch_factorize(b, alpha, emd_budget=EMD_BUDGET) -> PietschFactorization:
     """Factor ``B = T D`` with ``||T|| <= alpha_effective``.
 
     Runs mirror descent on the eigenvalue objective with an early exit at
@@ -153,22 +148,18 @@ def pietsch_factorize(
     ``(alpha^2 f + eta) / (alpha^2 + eta s)`` are used and
     ``alpha_effective = sqrt(alpha^2 + eta s)``.
 
-    When ``eta_cap`` is given and ``eta`` exceeds it, raises
-    :class:`InfeasibleFactorization` instead of constructing the blended
-    factorization.
-
     The solve runs at unit scale (:mod:`colsel.factor`); ``t``, ``t_norm``,
-    ``alpha_effective`` and the residual scale with ``B``, ``eta`` and
-    ``eta_cap`` with its square.
+    ``alpha_effective`` and the residual scale with ``B``, ``eta`` with its
+    square.  A ``B`` whose Frobenius norm overflows is refused.
     """
     b = as_matrix(b, "B")
     if b.shape[1] == 0:
         raise DomainError("B must have at least one column")
-    if frobenius_norm(b) == 0.0:
+    if _finite_norm(b, "B") == 0.0:
         raise DomainError("B must be nonzero")
     if alpha <= 0:
         raise DomainError("alpha must be positive")
-    return _factorize(PietschObjective, b, alpha, emd_budget, eta_cap)
+    return _factorize(PietschObjective, b, alpha, emd_budget)
 
 
 def improve_sign_witness_inf2(b, x):
@@ -190,8 +181,8 @@ def improve_sign_witness_inf2(b, x):
 
 def pietsch_optimal_alpha(
     b,
-    rel_tol=0.05,
-    emd_budget=5000,
+    rel_tol=REL_TOL,
+    emd_budget=EMD_BUDGET,
     *,
     max_probes=48,
 ) -> NormBracket:
@@ -206,10 +197,10 @@ def pietsch_optimal_alpha(
     returns the current bracket flagged as not converged.  The bisection
     runs at unit scale, like :func:`pietsch_factorize`, and the bracket
     ends and ``best`` are scaled back; ``lower_witness`` has first entry
-    ``+1``.
+    ``+1``.  A ``B`` whose Frobenius norm overflows is refused.
     """
     b = as_matrix(b, "B")
-    if b.shape[1] == 0 or frobenius_norm(b) == 0.0:
+    if b.shape[1] == 0 or _finite_norm(b, "B") == 0.0:
         raise DomainError("B must be nonzero")
     if not 0.0 < rel_tol < 1.0:
         raise DomainError("rel_tol must lie in (0, 1)")

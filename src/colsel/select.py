@@ -11,18 +11,19 @@ set no longer keeps pace with ``s``.
 ``kt_select`` controls the spectral norm (threshold 15); ``bt_select``
 controls the condition number (threshold ``sqrt(3)``) by driving down the
 (inf->1) norm of the hollow Gram matrix.  Reports are deterministic functions
-of (matrix, seed, config): every sampling attempt draws from its own stream
-spawned as ``SeedSequence(seed, spawn_key=(round, attempt))``, so attempts
-are independent and could run in parallel without changing the result.
+of the matrix, the seed, the threshold and the mirror-descent budget: every
+sampling attempt draws from its own stream spawned as
+``SeedSequence(seed, spawn_key=(round, attempt))``, so attempts are
+independent and could run in parallel without changing the result.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleFactorization, SolverError
+from .emd import EMD_BUDGET
+from .errors import DomainError, SolverError
 from .grothendieck import groth_factorize
 from .linalg import (
     as_matrix,
@@ -37,18 +38,6 @@ KT_NORM_THRESHOLD = 15.0
 BT_KAPPA_THRESHOLD = math.sqrt(3.0)
 PRUNE_RATIO = 2.0  # keep columns with d_jj^2 <= PRUNE_RATIO / s
 _KAPPA_SLACK = 1e-10
-
-
-@dataclass
-class SelectConfig:
-    """Tunables for the selection pipelines.
-
-    ``emd_iterations`` is the evaluation budget of each inner solve.
-    """
-
-    emd_iterations: int = 5000
-    norm_threshold: float = KT_NORM_THRESHOLD
-    kappa_threshold: float = BT_KAPPA_THRESHOLD
 
 
 @dataclass
@@ -80,37 +69,35 @@ def _prune(sample, weights_sq, s):
     return sample[keep]
 
 
-def norm_reduce(a, s, rng, config: Optional[SelectConfig] = None):
+def norm_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
     """One sampling + factorization + pruning pass for the norm pipeline.
 
     Draws ``s`` columns, factors them at level ``alpha = 8 K_P sqrt(s)``,
     and returns the surviving original column indices.  Returns ``None``
-    when the inner solve signals no usable candidate.
+    when the inner solve fails (:class:`SolverError`).
     """
-    config = config or SelectConfig()
     a = as_matrix(a, "A")
     sample = random_subset(a.shape[1], s, rng)
     alpha = 8.0 * PIETSCH_CONSTANT * math.sqrt(s)
     try:
-        fact = pietsch_factorize(a[:, sample], alpha, config.emd_iterations)
-    except (InfeasibleFactorization, SolverError):
+        fact = pietsch_factorize(a[:, sample], alpha, emd_iterations)
+    except SolverError:
         return None
     return _prune(sample, fact.d**2, s)
 
 
-def cond_reduce(a, s, rng, config: Optional[SelectConfig] = None):
+def cond_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
     """One sampling + factorization + pruning pass for the conditioning pipeline.
 
     Forms the hollow Gram matrix of the sampled columns, factors it at level
     ``alpha = s / 4``, and returns the surviving original column indices.
     """
-    config = config or SelectConfig()
     a = as_matrix(a, "A")
     sample = random_subset(a.shape[1], s, rng)
     g = hollow_gram(a[:, sample])
     try:
-        fact = groth_factorize(g, s / 4.0, config.emd_iterations)
-    except (InfeasibleFactorization, SolverError):
+        fact = groth_factorize(g, s / 4.0, emd_iterations)
+    except SolverError:
         return None
     return _prune(sample, fact.d**2, s)
 
@@ -127,7 +114,9 @@ def _size_schedule(n):
     return sizes
 
 
-def _doubling_search(a, seed, config, reduce_step, metric, accepts):
+def _doubling_search(a, seed, emd_iterations, reduce_step, metric, accepts):
+    a = _require_standardized(a)
+    seed = int(seed)
     n = a.shape[1]
     tau_star = np.array([0], dtype=np.int64)
     best_metric = metric(a[:, tau_star])
@@ -138,7 +127,7 @@ def _doubling_search(a, seed, config, reduce_step, metric, accepts):
         tries = max(1, math.ceil(8.0 * math.log2(s))) if s > 1 else 1
         for k in range(1, tries + 1):
             rng = _attempt_rng(seed, round_index, k)
-            candidate = reduce_step(a, s, rng, config)
+            candidate = reduce_step(a, s, rng, emd_iterations)
             attempts += 1
             if candidate is None:
                 log.append((s, k, 0, None))
@@ -172,38 +161,26 @@ def _require_standardized(a):
     return a
 
 
-def kt_select(a, seed=0, config: Optional[SelectConfig] = None) -> SelectionReport:
-    """Select columns with ``||A_tau|| <= 15`` and size about the stable rank.
+def kt_select(
+    a, seed=0, *, threshold=KT_NORM_THRESHOLD, emd_iterations=EMD_BUDGET
+) -> SelectionReport:
+    """Select columns with ``||A_tau|| <= threshold`` and size about the stable rank.
 
     Doubling search over sample sizes with :func:`norm_reduce` inside; a
     candidate is accepted only after its spectral norm is re-measured and
     passes the threshold.  Always returns at least column 0.
     """
-    config = config or SelectConfig()
-    a = _require_standardized(a)
-    return _doubling_search(
-        a,
-        int(seed),
-        config,
-        norm_reduce,
-        lambda sub: spectral_norm(sub),
-        lambda value: value <= config.norm_threshold,
-    )
+    return _doubling_search(a, seed, emd_iterations, norm_reduce, spectral_norm,
+                            lambda value: value <= threshold)
 
 
-def bt_select(a, seed=0, config: Optional[SelectConfig] = None) -> SelectionReport:
-    """Select columns with ``kappa(A_tau) <= sqrt(3)``.
+def bt_select(
+    a, seed=0, *, threshold=BT_KAPPA_THRESHOLD, emd_iterations=EMD_BUDGET
+) -> SelectionReport:
+    """Select columns with ``kappa(A_tau) <= threshold``.
 
     Doubling search with :func:`cond_reduce` inside; candidates are accepted
     on a re-measured condition number.  Always returns at least column 0.
     """
-    config = config or SelectConfig()
-    a = _require_standardized(a)
-    return _doubling_search(
-        a,
-        int(seed),
-        config,
-        cond_reduce,
-        condition_number,
-        lambda value: value <= config.kappa_threshold * (1.0 + _KAPPA_SLACK),
-    )
+    return _doubling_search(a, seed, emd_iterations, cond_reduce, condition_number,
+                            lambda value: value <= threshold * (1.0 + _KAPPA_SLACK))

@@ -144,6 +144,18 @@ def test_asymmetric_grothendieck_exit_3(capsys, tmp_path):
     assert "symmetric" in err
 
 
+@pytest.mark.parametrize("kind", ["inf2", "inf1"])
+def test_norm_beyond_the_float_range_exit_3(capsys, tmp_path, kind):
+    # Every entry is finite but ||A||_F, and so every bound, overflows; the
+    # norm scale-back once crashed with OverflowError.
+    p = tmp_path / "big.csv"
+    p.write_text("1e308,1e308\n1e308,1e308\n")
+    code, out, err = run_cli(capsys, "norm", "--kind", kind, str(p))
+    assert code == 3
+    assert out == ""
+    assert "float range" in err
+
+
 def test_solver_error_exit_4(capsys, i2_csv, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")

@@ -86,9 +86,16 @@ def test_best_value_equals_min_of_trace_and_reproduces():
     rng = np.random.default_rng(2)
     c = rng.standard_normal(5)
     obj = linear_objective(c)
-    run = emd_minimize(obj, 5, 300, "adaptive", record_trace=True)
-    assert run.best_value == min(run.trace)
-    assert np.minimum.accumulate(run.trace)[-1] == run.best_value
+    values = []
+
+    def recorded(f):
+        sample = obj(f)
+        values.append(sample.value)
+        return sample
+
+    run = emd_minimize(recorded, 5, 300, "adaptive")
+    assert len(values) == run.iterations
+    assert run.best_value == min(values)
     assert obj(run.best_point).value == pytest.approx(run.best_value, abs=1e-9)
 
 

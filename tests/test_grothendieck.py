@@ -7,7 +7,6 @@ from colsel import (
     DomainError,
     GROTHENDIECK_LOWER,
     GROTHENDIECK_UPPER,
-    InfeasibleFactorization,
     block_matrix,
     groth_factorize,
     groth_objective,
@@ -124,12 +123,6 @@ def test_factorize_rescaled_branch_certificate():
     assert fact.alpha_effective == pytest.approx(alpha + fact.eta * 6, rel=1e-12)
     assembled = block_matrix(g, fact.alpha_effective, fact.d**2)
     assert np.linalg.eigvalsh(assembled)[-1] <= 1e-8
-
-
-def test_factorize_infeasibility_report():
-    with pytest.raises(InfeasibleFactorization) as exc_info:
-        groth_factorize(SWAP, 0.5, eta_cap=0.0)
-    assert exc_info.value.eta > 0
 
 
 def test_factorize_rejects_asymmetric():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -183,6 +184,24 @@ def test_dumps_report_numpy_and_dataclass():
     assert parsed["d"] == [1.0, 0.0]
     assert parsed["t"] == [[1.0, 0.0], [0.0, 1.0]]
     assert parsed["alpha_effective"] == 2.0
+
+    @dataclasses.dataclass
+    class Outer:
+        inner: PietschFactorization
+        pair: tuple
+
+    report = {
+        "outer": Outer(fact, (np.int64(3), np.bool_(True), np.float32(0.5))),
+        10: "ten",
+        9: np.bool_(False),
+        "n": np.int64(-7),
+    }
+    text = dumps_report(report)
+    # Keys sort as strings, so "10" comes before "9".
+    assert text.index('"10"') < text.index('"9"')
+    assert text.startswith('{"10": "ten", "9": false, "n": -7, "outer": {"inner": {')
+    assert '"pair": [3, true, 0.5]' in text
+    assert json.loads(text)["outer"]["inner"] == parsed
 
 
 def test_dumps_report_deterministic():

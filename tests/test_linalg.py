@@ -54,6 +54,17 @@ def test_norms_scale_exactly_with_the_input(c):
     assert frobenius_norm(c * b) == pytest.approx(c * frobenius_norm(b), rel=1e-12, abs=0.0)
 
 
+def test_norms_saturate_beyond_the_float_range():
+    # Both norms of this finite matrix exceed the largest float; the
+    # scale-back once raised OverflowError ("math range error").
+    big = np.full((2, 2), 1e308)
+    assert frobenius_norm(big) == math.inf
+    assert spectral_norm(big) == math.inf
+    edge = np.array([[0.0, 1e308], [1e308, 0.0]])
+    assert frobenius_norm(edge) == pytest.approx(math.sqrt(2) * 1e308, rel=1e-15)
+    assert spectral_norm(edge) == pytest.approx(1e308, rel=1e-12)
+
+
 def test_stable_rank():
     for n in (1, 3, 6):
         assert stable_rank(np.eye(n)) == pytest.approx(n)
@@ -93,6 +104,17 @@ def test_standardize():
     assert np.allclose(standardize(already), already)
     with pytest.raises(DomainError, match="column 1"):
         standardize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # The zero-column gate is absolute, whatever the scale of the rest.
+    with pytest.raises(DomainError, match="column 0"):
+        standardize(np.array([[1e-13, 1.0], [0.0, 1.0]]))
+    with pytest.raises(DomainError, match="column 0"):
+        standardize(np.full((2, 2), 1e-13))
+    assert np.allclose(standardize(np.full((2, 2), 1e-11)), math.sqrt(0.5))
+    # Squared entries above about 1e154 overflow; standardize once returned
+    # zeros for them (with a RuntimeWarning).
+    a = np.random.default_rng(4).standard_normal((5, 7))
+    for c in (1e154, 1e200, 1e300):
+        np.testing.assert_allclose(standardize(c * a), standardize(a), rtol=1e-15, atol=0.0)
 
 
 def test_hollow_gram_examples():
