@@ -25,7 +25,7 @@ from .exact import norm_inf1_exact, norm_inf2_exact
 from .factor import REL_TOL
 from .grothendieck import groth_factorize, groth_optimal_alpha
 from .io import load_matrix, write_report
-from .linalg import is_standardized, stable_rank, standardize
+from .linalg import stable_rank, standardize
 from .montecarlo import DEFAULT_ORACLE_CAP
 from .pietsch import pietsch_factorize, pietsch_optimal_alpha
 from .select import BT_KAPPA_THRESHOLD, KT_NORM_THRESHOLD, bt_select, kt_select
@@ -195,19 +195,14 @@ def _run(args):
         a = standardize(a)
 
     timer = time.perf_counter()
-    if args.command in ("kt", "bt"):
-        if not is_standardized(a):
-            raise DomainError(
-                "input columns are not unit-norm; pass --standardize to rescale"
-            )
-        if args.command == "kt":
-            report = kt_select(a, config.seed, threshold=config.kt_norm_threshold,
-                               emd_iterations=config.emd_iterations)
-            result = _selection_result(report, a, "norm_of_tau")
-        else:
-            report = bt_select(a, config.seed, threshold=config.bt_kappa_threshold,
-                               emd_iterations=config.emd_iterations)
-            result = _selection_result(report, a, "kappa_of_tau")
+    if args.command == "kt":
+        report = kt_select(a, config.seed, threshold=config.kt_norm_threshold,
+                           emd_iterations=config.emd_iterations)
+        result = _selection_result(report, a, "norm_of_tau")
+    elif args.command == "bt":
+        report = bt_select(a, config.seed, threshold=config.bt_kappa_threshold,
+                           emd_iterations=config.emd_iterations)
+        result = _selection_result(report, a, "kappa_of_tau")
     elif args.command == "pietsch":
         fact = pietsch_factorize(a, args.alpha, config.emd_iterations)
         result = _factorization_result(fact, args.alpha)

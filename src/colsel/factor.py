@@ -9,8 +9,14 @@ alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
 the bracket ``constant``, ``pair(f, tol, level)`` (the top eigenpair at any
 level ``alpha^p``), ``certified(f)`` (an upper bound on ``lambda(f)``),
 ``start()`` (an upper end for the bisection and the vectors whose signs
-seed the lower bounds), ``improve(x)`` (sign-witness ascent), and
-``split(d)``/``join(t, d)`` (``T`` from ``D``, and the input back from both).
+seed the lower bounds), ``improve(x)`` (sign-witness ascent),
+``split(d)``/``join(t, d)`` (``T`` from ``D``, and the input back from both)
+and ``name`` (the input's name in messages).
+
+The public solvers convert their input once and hand it here; the core owns
+the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0``
+whose unit-scale level is at most ``MAX_UNIT_LEVEL``, ``0 < rel_tol < 1``).
+The zero matrix factors exactly (uniform ``d``, ``T = 0``) with bracket ``[0, 0]``.
 
 :func:`_factorize` minimizes ``lambda`` by mirror descent with an early exit
 at zero and certifies ``eta``.  A positive ``eta`` is absorbed by blending
@@ -49,6 +55,11 @@ CERTIFICATE_EIG_TOL = 1e-12
 
 # Default relative tolerance of the bracket bisection.
 REL_TOL = 0.05
+
+# Unit-scale levels alpha^p up to this, their squares and sums stay in the
+# float range; above it, any input that fits in memory is trivially feasible
+# (uniform weights give ||T|| <= s ||A||_F, and ||A||_F^2 < m s at unit scale).
+MAX_UNIT_LEVEL = 2.0**480
 
 
 @dataclass
@@ -106,21 +117,38 @@ def _canonical_sign(x):
     return x if x[0] > 0 else -x
 
 
-def _finite_norm(a, name):
-    """``||a||_F``, refused when it overflows: both norms are at least
-    ``||A||_F`` (the mean of ``||A x||_2^2`` over sign vectors is
-    ``||A||_F^2``, and ``||G x||_1 >= ||G x||_2``), so every bound is inf."""
+def _unit_input(program, a):
+    """``(a 2**-e, e, ||a 2**-e||_F)``, refused if ``||a||_F`` overflows: both
+    norms are at least ``||A||_F`` (the mean of ``||A x||_2^2`` over sign vectors
+    is ``||A||_F^2``, and ``||G x||_1 >= ||G x||_2``), so every bound is inf."""
+    if a.shape[1] == 0:
+        raise DomainError(f"{program.name} must have at least one column")
+    a, e = _unit_scaled(a)
     fro = frobenius_norm(a)
-    if fro == math.inf:
-        raise DomainError(f"{name} has a Frobenius norm beyond the float range")
-    return fro
+    if _ldexp(fro, e) == math.inf:
+        raise DomainError(f"{program.name} has a Frobenius norm beyond the float range")
+    return a, e, fro
+
+
+def _evaluate(program, a, alpha, f):
+    """The program's value and subgradient at checked ``alpha`` and ``f``."""
+    if not 0.0 <= alpha < math.inf:
+        raise DomainError(f"alpha must be finite and nonnegative, got {alpha!r}")
+    if not np.isfinite(f).all():
+        raise DomainError("f must have finite entries")
+    return program(a, float(alpha))(f)
 
 
 def _factorize(program, a, alpha, emd_budget):
-    """Factor the validated nonzero-width ``a`` at level ``alpha > 0``."""
+    """Factor the converted input ``a`` at level ``alpha``."""
     power = program.power
-    a, e = _unit_scaled(a)
-    unit_alpha = _ldexp(float(alpha), -e)
+    a, e, fro = _unit_input(program, a)
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
+    unit_alpha = _ldexp(alpha, -e)
+    if unit_alpha > MAX_UNIT_LEVEL ** (1.0 / power):
+        raise DomainError(f"alpha {alpha:g} puts alpha^{power} beyond the float range")
     s = a.shape[1]
     objective = program(a, unit_alpha)
     run = emd_minimize(objective, s, emd_budget, step_mode="adaptive", stop_below=0.0)
@@ -128,7 +156,6 @@ def _factorize(program, a, alpha, emd_budget):
     f /= f.sum()
     eta = objective.certified(f)
 
-    fro = frobenius_norm(a)
     fact = _build(objective, a, fro, f, unit_alpha, eta)
     if fact.t_norm > fact.alpha_effective * (1.0 + NORM_SLACK):
         # Eigensolver slack let ||T|| creep past alpha; rebuild with the measured
@@ -179,14 +206,20 @@ def _build(objective, a, fro, f, alpha, eta):
 
 
 def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
-    """Bisect on ``alpha`` for the validated nonzero ``a``.
+    """Bisect on ``alpha`` for the converted input ``a``.
 
     Every probe is one call of ``factorize``, the program's public solver,
     on the unit-scaled ``a``, so a probe is what a caller would get.
     """
     power = program.power
-    a, e = _unit_scaled(a)
+    a, e, fro = _unit_input(program, a)
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError("rel_tol must lie in (0, 1)")
     s = a.shape[1]
+    if fro == 0.0:
+        d = np.full(s, 1.0 / math.sqrt(s))
+        zero = Factorization(d, np.zeros_like(a), 0.0, 0.0, 0.0, 0.0)
+        return NormBracket(0.0, 0.0, zero, np.ones(s), True, 0)
     objective = program(a, 0.0)
     hi_seed, seeds = objective.start()
 

@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from .emd import EMD_BUDGET, SubgradientSample
-from .errors import DomainError
 from .factor import (
     CERTIFICATE_EIG_TOL,
     OBJECTIVE_EIG_TOL,
@@ -27,10 +26,10 @@ from .factor import (
     Factorization,
     NormBracket,
     _bracket,
+    _evaluate,
     _factorize,
-    _finite_norm,
 )
-from .linalg import _require_symmetric, as_matrix, max_eig_pair
+from .linalg import _require_symmetric, _top_pair, as_matrix
 
 GROTHENDIECK_LOWER = math.pi / 2.0
 GROTHENDIECK_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -59,22 +58,22 @@ class GrothObjective:
     The subgradient is ``-alpha w^2`` for the top eigenvector ``w`` of the
     attaining branch, which matches ``-alpha (|u|^2 + |v|^2)`` for the block
     eigenvector ``(u, v) = (w, -w)/sqrt(2)``.  The class is the Grothendieck
-    program of :mod:`colsel.factor`.
+    program of :mod:`colsel.factor`.  ``G`` and ``alpha`` are trusted; outside
+    input goes through :func:`groth_objective`.
     """
 
     power = 1
     constant = GROTHENDIECK_UPPER
+    name = "G"
 
     def __init__(self, g, alpha):
-        self.g = _require_symmetric(g, "G")
-        if alpha < 0:
-            raise DomainError("alpha must be nonnegative")
-        self.level = float(alpha)
+        self.g = g
+        self.level = alpha
 
     def branch_pairs(self, f, tol, level):
         """Top eigenpairs of ``G - level F`` and ``-G - level F``."""
         shift = np.diag(level * np.asarray(f, dtype=float))
-        return [max_eig_pair(signed - shift, tol) for signed in (self.g, -self.g)]
+        return [_top_pair(signed - shift, tol) for signed in (self.g, -self.g)]
 
     def pair(self, f, tol, level):
         """Top eigenpair of the attaining branch."""
@@ -114,7 +113,7 @@ class GrothObjective:
 
 def groth_objective(g, alpha, f):
     """Value and subgradient of the block program at weights ``f``."""
-    return GrothObjective(g, alpha)(f)
+    return _evaluate(GrothObjective, _require_symmetric(g, "G"), alpha, f)
 
 
 def groth_factorize(g, alpha, emd_budget=EMD_BUDGET) -> GrothendieckFactorization:
@@ -125,16 +124,10 @@ def groth_factorize(g, alpha, emd_budget=EMD_BUDGET) -> GrothendieckFactorizatio
     blend ``(alpha f + eta) / (alpha + eta s)`` with
     ``alpha_effective = alpha + eta s``.  The solve runs at unit scale
     (:mod:`colsel.factor`), so ``t``, ``t_norm``, ``alpha_effective``,
-    ``eta`` and the residual all scale with ``G``.  A ``G`` whose Frobenius
-    norm overflows is refused.
+    ``eta`` and the residual all scale with ``G``.  :mod:`colsel.factor`
+    owns the input checks and the zero-matrix rule.
     """
-    g = _require_symmetric(g, "G")
-    if g.shape[0] == 0:
-        raise DomainError("G must have at least one column")
-    _finite_norm(g, "G")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return _factorize(GrothObjective, g, alpha, emd_budget)
+    return _factorize(GrothObjective, _require_symmetric(g, "G"), alpha, emd_budget)
 
 
 def improve_sign_witness_inf1(g, x):
@@ -167,24 +160,8 @@ def groth_optimal_alpha(
     Same scheme as the Pietsch bracket: sign-vector probes below,
     factorization norms above, ratio target
     ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``; it runs at unit
-    scale, and ``lower_witness`` has first entry ``+1``.  A ``G`` whose
-    Frobenius norm overflows is refused.
+    scale, and ``lower_witness`` has first entry ``+1``.  The zero matrix
+    gets the bracket ``[0, 0]``.
     """
     g = _require_symmetric(g, "G")
-    if g.shape[0] == 0:
-        raise DomainError("G must have at least one column")
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError("rel_tol must lie in (0, 1)")
-
-    s = g.shape[0]
-    if _finite_norm(g, "G") == 0.0:
-        fact = Factorization(
-            d=np.full(s, 1.0 / math.sqrt(s)),
-            t=np.zeros((s, s)),
-            alpha_effective=0.0,
-            eta=0.0,
-            reconstruction_residual=0.0,
-            t_norm=0.0,
-        )
-        return NormBracket(0.0, 0.0, fact, np.ones(s), True, 0)
     return _bracket(GrothObjective, g, rel_tol, emd_budget, max_probes, groth_factorize)

@@ -1,10 +1,10 @@
 """Dense matrix utilities: norms, spectral quantities, and an extreme
 eigenpair solver for symmetric matrices.
 
-All functions accept anything convertible to a 2-d float ndarray and treat
-inputs as immutable.  The only iterative routine is :func:`max_eig_pair`;
-everything it backs (spectral norm, stable rank) inherits its residual-based
-accuracy contract.
+The public functions validate anything convertible to a 2-d float ndarray
+and treat inputs as immutable.  The eigen kernel :func:`_top_pair` trusts
+its caller, a solver passing an array it built; :func:`max_eig_pair` checks
+and calls it, and all it backs inherits its residual-based accuracy contract.
 """
 
 import math
@@ -93,19 +93,22 @@ def max_eig_pair(h, tol=1e-10) -> EigPair:
     indicates ``tol`` was tightened past machine precision).
     """
     h = _require_symmetric(h)
-    n = h.shape[0]
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if n == 0:
+    if h.shape[0] == 0:
         raise DomainError("matrix must have at least one row")
-    fro = math.sqrt(float(np.sum(h * h)))
-    scale = max(1.0, fro)
-    # ``fro`` underflows to 0 for a tiny nonzero matrix; test the entries.
+    return _top_pair(h, tol)
+
+
+def _top_pair(h, tol):
+    """:func:`max_eig_pair` without its checks, for a nonempty symmetric
+    finite ``h`` whose entries and their squared sum stay in the float range."""
+    # ``||H||_F`` underflows to 0 for a tiny nonzero matrix; test the entries.
     if not h.any():
-        v = np.zeros(n)
+        v = np.zeros(h.shape[0])
         v[0] = 1.0
         return EigPair(0.0, v, 0.0)
-
+    scale = max(1.0, math.sqrt(float(np.sum(h * h))))
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -136,7 +139,6 @@ def spectral_norm(a, tol=1e-10):
 
 def stable_rank(a):
     """``||A||_F^2 / ||A||^2``, an analytic surrogate for the rank."""
-    a = as_matrix(a)
     fro = frobenius_norm(a)
     if fro == 0.0:
         raise DomainError("stable rank is undefined for the zero matrix")
@@ -161,15 +163,20 @@ def condition_number(a):
     return smax / smin
 
 
+def _column_norms(a):
+    """``(a 2**-e, e, column 2-norms of a 2**-e)``: no squared entry overflows."""
+    a, e = _unit_scaled(a)
+    return a, e, np.sqrt(np.sum(a * a, axis=0))
+
+
 def standardize(a):
     """Rescale every column to unit 2-norm.
 
-    The norms are taken at unit scale (:func:`_unit_scaled`), so entries
+    The norms are taken at unit scale (:func:`_column_norms`), so entries
     whose squares leave the float range are handled exactly; a column whose
     norm is at most ``ZERO_COLUMN_ATOL`` is refused.
     """
-    a, e = _unit_scaled(as_matrix(a))
-    norms = np.sqrt(np.sum(a * a, axis=0))  # the column norms times 2**-e
+    a, e, norms = _column_norms(as_matrix(a))
     bad = np.nonzero(norms <= _ldexp(ZERO_COLUMN_ATOL, -e))[0]
     if bad.size:
         raise DomainError(f"column {int(bad[0])} has (near-)zero norm; cannot standardize")
@@ -178,9 +185,8 @@ def standardize(a):
 
 def is_standardized(a):
     """True when every column 2-norm is within ``STANDARDIZE_ATOL`` of one."""
-    a = as_matrix(a)
-    norms = np.sqrt(np.sum(a * a, axis=0))
-    return bool(np.all(np.abs(norms - 1.0) <= STANDARDIZE_ATOL))
+    _, e, norms = _column_norms(as_matrix(a))
+    return bool(np.all(np.abs(norms - _ldexp(1.0, -e)) <= _ldexp(STANDARDIZE_ATOL, -e)))
 
 
 def hollow_gram(a):
@@ -188,15 +194,15 @@ def hollow_gram(a):
 
     The diagonal is forced exactly to zero; column norms may deviate from
     one by at most ``STANDARDIZE_ATOL``, otherwise a :class:`DomainError`
-    names the offending column.
+    names the offending column.  The norms are taken at unit scale.
     """
     a = as_matrix(a)
-    norms = np.sqrt(np.sum(a * a, axis=0))
-    off = np.abs(norms - 1.0)
-    if off.size and off.max() > STANDARDIZE_ATOL:
+    _, e, norms = _column_norms(a)
+    off = np.abs(norms - _ldexp(1.0, -e))
+    if off.size and off.max() > _ldexp(STANDARDIZE_ATOL, -e):
         j = int(np.argmax(off))
         raise DomainError(
-            f"column {j} has norm {norms[j]:.12g}; standardize the input first"
+            f"column {j} has norm {_ldexp(float(norms[j]), e):.12g}; standardize the input first"
         )
     h = a.T @ a
     np.fill_diagonal(h, 0.0)

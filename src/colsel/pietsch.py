@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .emd import EMD_BUDGET, SubgradientSample
-from .errors import DomainError, SolverError
+from .errors import SolverError
 from .factor import (
     CERTIFICATE_EIG_TOL,
     OBJECTIVE_EIG_TOL,
@@ -27,10 +27,10 @@ from .factor import (
     Factorization,
     NormBracket,
     _bracket,
+    _evaluate,
     _factorize,
-    _finite_norm,
 )
-from .linalg import EigPair, as_matrix, max_eig_pair
+from .linalg import EigPair, _top_pair, as_matrix
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -46,17 +46,17 @@ class PietschObjective:
     Every other ``f`` uses the ``s x s`` Gram ``B^T B``, formed on first use.
     The subgradient at ``f`` is ``-alpha^2 |u|^2`` for the returned unit top
     eigenvector ``u``.  The class is the Pietsch program of
-    :mod:`colsel.factor`.
+    :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted; outside input
+    goes through :func:`pietsch_objective`.
     """
 
     power = 2
     constant = PIETSCH_CONSTANT
+    name = "B"
 
     def __init__(self, b, alpha):
-        self.b = as_matrix(b, "B")
-        if alpha < 0:
-            raise DomainError("alpha must be nonnegative")
-        self.level = float(alpha) ** 2
+        self.b = b
+        self.level = alpha**2
         self._gram = None
         self._short = None
 
@@ -75,17 +75,15 @@ class PietschObjective:
         h = self._gram.copy()
         idx = np.arange(s)
         h[idx, idx] -= level * f
-        return max_eig_pair(h, tol)
+        return _top_pair(h, tol)
 
     def _short_side_pair(self, c, tol):
         b = self.b
-        if not math.isfinite(c):
-            raise DomainError(f"diagonal shift {c!r} is not finite")
         if self._short is None:
             k = b @ b.T
             self._short = (k, float(np.sum(k * k)), float(np.sum(b * b)))
         k, fro_k_sq, fro_b_sq = self._short
-        top = max_eig_pair(k, tol)
+        top = _top_pair(k, tol)
         w = b.T @ top.vector
         norm_w = math.sqrt(float(w @ w))
         if norm_w > 0.0:
@@ -136,7 +134,7 @@ class PietschObjective:
 
 def pietsch_objective(b, alpha, f):
     """Value and subgradient of the factorization program at weights ``f``."""
-    return PietschObjective(b, alpha)(f)
+    return _evaluate(PietschObjective, as_matrix(b, "B"), alpha, f)
 
 
 def pietsch_factorize(b, alpha, emd_budget=EMD_BUDGET) -> PietschFactorization:
@@ -150,16 +148,10 @@ def pietsch_factorize(b, alpha, emd_budget=EMD_BUDGET) -> PietschFactorization:
 
     The solve runs at unit scale (:mod:`colsel.factor`); ``t``, ``t_norm``,
     ``alpha_effective`` and the residual scale with ``B``, ``eta`` with its
-    square.  A ``B`` whose Frobenius norm overflows is refused.
+    square.  :mod:`colsel.factor` owns the input checks and the zero-matrix
+    rule.
     """
-    b = as_matrix(b, "B")
-    if b.shape[1] == 0:
-        raise DomainError("B must have at least one column")
-    if _finite_norm(b, "B") == 0.0:
-        raise DomainError("B must be nonzero")
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    return _factorize(PietschObjective, b, alpha, emd_budget)
+    return _factorize(PietschObjective, as_matrix(b, "B"), alpha, emd_budget)
 
 
 def improve_sign_witness_inf2(b, x):
@@ -197,11 +189,7 @@ def pietsch_optimal_alpha(
     returns the current bracket flagged as not converged.  The bisection
     runs at unit scale, like :func:`pietsch_factorize`, and the bracket
     ends and ``best`` are scaled back; ``lower_witness`` has first entry
-    ``+1``.  A ``B`` whose Frobenius norm overflows is refused.
+    ``+1``.  The zero matrix gets the bracket ``[0, 0]``.
     """
     b = as_matrix(b, "B")
-    if b.shape[1] == 0 or _finite_norm(b, "B") == 0.0:
-        raise DomainError("B must be nonzero")
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError("rel_tol must lie in (0, 1)")
     return _bracket(PietschObjective, b, rel_tol, emd_budget, max_probes, pietsch_factorize)

@@ -156,6 +156,29 @@ def test_norm_beyond_the_float_range_exit_3(capsys, tmp_path, kind):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("command", ["pietsch", "grothendieck"])
+@pytest.mark.parametrize("alpha", ["1e300", "inf", "nan", "0", "-1"])
+def test_alpha_out_of_range_exit_3(capsys, tmp_path, command, alpha):
+    # --alpha 1e300 once crashed with OverflowError; inf and nan were
+    # reported as non-finite matrix entries.
+    p = tmp_path / "swap.csv"
+    p.write_text("0,1\n1,0\n")
+    code, out, err = run_cli(capsys, command, "--alpha", alpha, str(p))
+    assert code == 3
+    assert out == ""
+    assert "alpha" in err
+
+
+def test_kt_on_entries_whose_squares_overflow_exit_3(capsys, tmp_path):
+    # Column norms are taken at unit scale: no overflow warning, just the refusal.
+    p = tmp_path / "huge.csv"
+    p.write_text("1e200,0\n0,1e200\n")
+    code, out, err = run_cli(capsys, "kt", str(p))
+    assert code == 3
+    assert out == ""
+    assert "standardize" in err
+
+
 def test_solver_error_exit_4(capsys, i2_csv, monkeypatch):
     def boom(*args, **kwargs):
         raise SolverError("synthetic failure")

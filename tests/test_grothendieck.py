@@ -13,6 +13,8 @@ from colsel import (
     groth_optimal_alpha,
     hollow_gram,
     norm_inf1_exact,
+    pietsch_factorize,
+    pietsch_optimal_alpha,
     principal_submatrix,
     spectral_norm,
     standardize,
@@ -86,12 +88,23 @@ def test_subgradient_respects_lipschitz_bound():
         assert np.abs(sample.subgradient).max() <= alpha * (1 + 1e-12)
 
 
-def test_factorize_zero_matrix():
-    fact = groth_factorize(np.zeros((3, 3)), 1.5)
+# Both programs answer the zero matrix: it factors exactly with uniform
+# weights and T = 0, and its bracket is [0, 0].  The Pietsch one is wide, so
+# its solve runs on the short side.
+ZERO_INPUTS = [
+    pytest.param(pietsch_factorize, pietsch_optimal_alpha, (2, 3), id="pietsch"),
+    pytest.param(groth_factorize, groth_optimal_alpha, (3, 3), id="groth"),
+]
+
+
+@pytest.mark.parametrize("factorize, optimal_alpha, shape", ZERO_INPUTS)
+def test_factorize_zero_matrix(factorize, optimal_alpha, shape):
+    fact = factorize(np.zeros(shape), 1.5)
     assert np.allclose(fact.d, 1 / math.sqrt(3), atol=1e-9)
-    assert np.allclose(fact.t, 0.0)
+    assert np.array_equal(fact.t, np.zeros(shape))
     assert fact.alpha_effective == 1.5
-    check_factorization_invariants(np.zeros((3, 3)), fact)
+    assert fact.t_norm == fact.reconstruction_residual == 0.0
+    assert np.sum(fact.d**2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_factorize_swap_closed_form():
@@ -194,8 +207,12 @@ def test_optimal_alpha_brackets_exact_norm():
         assert bracket.alpha_hi <= GROTHENDIECK_UPPER * 1.05 * exact
 
 
-def test_optimal_alpha_zero_matrix():
-    bracket = groth_optimal_alpha(np.zeros((4, 4)))
+@pytest.mark.parametrize("factorize, optimal_alpha, shape", ZERO_INPUTS)
+def test_optimal_alpha_zero_matrix(factorize, optimal_alpha, shape):
+    bracket = optimal_alpha(np.zeros(shape))
     assert bracket.alpha_lo == 0.0
     assert bracket.alpha_hi == 0.0
     assert bracket.converged
+    assert bracket.probes == 0
+    assert np.array_equal(bracket.best.t, np.zeros(shape))
+    assert np.array_equal(bracket.lower_witness, np.ones(3))

@@ -9,6 +9,7 @@ from colsel import (
     condition_number,
     frobenius_norm,
     hollow_gram,
+    is_standardized,
     max_eig_pair,
     principal_submatrix,
     spectral_norm,
@@ -143,6 +144,19 @@ def test_hollow_gram_properties():
 def test_hollow_gram_rejects_nonstandardized():
     with pytest.raises(DomainError, match="column 0"):
         hollow_gram(np.array([[2.0, 0.0], [0.0, 1.0]]))
+
+
+def test_column_norms_are_taken_at_unit_scale():
+    # The squares of 1e200 overflow; is_standardized and hollow_gram once
+    # warned (an error under the test filter) before answering.
+    a = standardize(np.random.default_rng(1).standard_normal((4, 5)))
+    assert is_standardized(a)
+    for c in (1e200, 2.0**-600):
+        assert not is_standardized(c * a)
+        with pytest.raises(DomainError, match=r"column \d has norm"):
+            hollow_gram(c * a)
+    with pytest.raises(DomainError, match=r"column \d has norm 1e\+200"):
+        hollow_gram(1e200 * a)
 
 
 def test_submatrix_selection():

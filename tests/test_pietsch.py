@@ -6,11 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import colsel.factor
+import colsel.grothendieck
+import colsel.linalg
+import colsel.pietsch
 from colsel import (
     DomainError,
     PIETSCH_CONSTANT,
     frobenius_norm,
+    emd_minimize,
     groth_factorize,
+    groth_objective,
     groth_optimal_alpha,
     hollow_gram,
     is_standardized,
@@ -139,8 +145,6 @@ def test_factorize_handles_near_zero_column():
 
 def test_factorize_input_validation():
     with pytest.raises(DomainError):
-        pietsch_factorize(np.zeros((2, 2)), 1.0)
-    with pytest.raises(DomainError):
         pietsch_factorize(np.eye(2), 0.0)
     with pytest.raises(DomainError):
         pietsch_factorize(np.zeros((2, 0)), 1.0)
@@ -205,11 +209,6 @@ def test_optimal_alpha_budget_exhaustion_flagged():
     bracket = pietsch_optimal_alpha(np.eye(3), max_probes=0)
     assert not bracket.converged
     assert bracket.best is None
-
-
-def test_optimal_alpha_rejects_zero_matrix():
-    with pytest.raises(DomainError):
-        pietsch_optimal_alpha(np.zeros((3, 3)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -414,6 +413,94 @@ def test_solvers_refuse_an_overflowing_frobenius_norm(solve):
         solve(np.full((2, 2), 1e308))
 
 
+@pytest.mark.parametrize("program", [PIETSCH, GROTH], ids=["pietsch", "groth"])
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, 0.0, -1.0, 1e300])
+def test_solvers_refuse_an_alpha_out_of_range(program, alpha):
+    # 1e300 once overflowed: Pietsch squared it into an OverflowError, and
+    # Grothendieck overflowed in the eigensolver's ||H||_F.
+    a = program.of(standardize(np.random.default_rng(2).standard_normal((4, 6))))
+    with pytest.raises(DomainError, match="alpha"):
+        program.factorize(a, alpha)
+
+
+@pytest.mark.parametrize("program", [PIETSCH, GROTH], ids=["pietsch", "groth"])
+def test_solvers_take_every_alpha_up_to_the_level_bound(program):
+    # The largest accepted unit-scale level, 2^480, is trivially feasible;
+    # the unit-scale matrices here have exponent e = 0.
+    for shape in ((6, 4), (3, 8)):  # Pietsch on the dense and the short side
+        a = program.of(np.random.default_rng(4).standard_normal(shape))
+        a = a / (2.0 * np.abs(a).max())
+        alpha = 2.0 ** (480 / program.power)
+        fact = program.factorize(a, alpha)
+        assert fact.eta <= 0.0 and fact.alpha_effective == alpha
+        with pytest.raises(DomainError, match="float range"):
+            program.factorize(a, 2.0 * alpha)
+
+
+def test_public_boundary_refusals():
+    g = hollow_gram(standardize(np.random.default_rng(5).standard_normal((3, 4))))
+    b = g[:3]
+    bad = [
+        lambda: groth_factorize(np.triu(g), 1.0),  # not symmetric
+        lambda: groth_optimal_alpha(np.triu(g)),
+        lambda: pietsch_factorize(np.where(b > 0, np.inf, b), 1.0),  # non-finite entries
+        lambda: pietsch_optimal_alpha(np.full((2, 2), np.nan)),
+        lambda: groth_factorize(np.zeros((0, 0)), 1.0),  # no columns
+        lambda: pietsch_optimal_alpha(np.zeros((2, 0))),
+        lambda: groth_optimal_alpha(np.zeros((0, 0))),
+        lambda: groth_factorize(g, -1.0),  # alpha <= 0
+        lambda: pietsch_optimal_alpha(b, rel_tol=0.0),  # rel_tol outside (0, 1)
+        lambda: groth_optimal_alpha(g, rel_tol=1.0),
+        lambda: pietsch_optimal_alpha(np.zeros((2, 2)), rel_tol=math.nan),
+        lambda: pietsch_objective(b, 1.0, [0.5, math.nan, 0.25, 0.25]),  # non-finite f
+        lambda: groth_objective(g, 1.0, [0.5, 0.5, math.inf, 0.0]),
+        lambda: pietsch_objective(b, math.nan, np.full(4, 0.25)),  # non-finite alpha
+        lambda: groth_objective(g, -1.0, np.full(4, 0.25)),
+    ]
+    for i, call in enumerate(bad):
+        with pytest.raises(DomainError):
+            call()
+            pytest.fail(f"case {i} was accepted")
+
+
+def test_solves_validate_their_input_once(monkeypatch):
+    # The eigen kernel trusts the matrices a solve builds, so the number of
+    # validations does not grow with the number of objective evaluations.
+    validations, evaluations = [], []
+    as_matrix = colsel.linalg.as_matrix
+
+    def counting_as_matrix(*args, **kwargs):
+        validations.append(1)
+        return as_matrix(*args, **kwargs)
+
+    def counting_emd_minimize(*args, **kwargs):
+        run = emd_minimize(*args, **kwargs)
+        evaluations.append(run.iterations)
+        return run
+
+    for module in (colsel.linalg, colsel.pietsch, colsel.grothendieck):
+        monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
+    monkeypatch.setattr(colsel.factor, "emd_minimize", counting_emd_minimize)
+    g = hollow_gram(standardize(np.random.default_rng(0).standard_normal((5, 8))))
+    b = np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])  # uniform weights are infeasible
+    solves = {
+        "groth_factorize": lambda budget: groth_factorize(g, 0.5 * norm_inf1_exact(g)[0], budget),
+        "pietsch_optimal_alpha": lambda budget: pietsch_optimal_alpha(
+            b, emd_budget=budget, max_probes=1
+        ),
+    }
+    for name, solve in solves.items():
+        counts = []
+        for budget in (1, 400):
+            validations.clear()
+            evaluations.clear()
+            solve(budget)
+            counts.append((sum(evaluations), len(validations)))
+        (few, checks), (many, checks_again) = counts
+        assert few < many, name
+        assert checks == checks_again, (name, counts)
+
+
 def _hollow(b):
     g = b.T @ b
     np.fill_diagonal(g, 0.0)
@@ -447,7 +534,6 @@ def test_bracket_is_sound(program, kind, m, s, seed, c):
         b = standardize(b) * (1.0 + STANDARDIZE_ATOL * rng.uniform(-1.0, 1.0, s))
         assert is_standardized(b)
     a = b if program is PIETSCH else _hollow(b)
-    assume(a.any() or program is GROTH)  # the Pietsch bracket refuses B = 0
     exact, _ = program.exact(a)
     bracket = program.optimal_alpha(c * a, emd_budget=400)
     assert bracket.alpha_lo <= c * exact <= bracket.alpha_hi
