@@ -24,10 +24,12 @@ with the uniform point, ``(alpha^p f + eta) / (alpha^p + eta s)``, at the
 price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if eigensolver slack
 lets ``||T||`` pass that, the excess ``(||T||^p - alpha_eff^p) / s`` is
 folded into ``eta`` once.  :func:`_bracket` bisects on ``alpha``: sign
-vectors give lower bounds, factor norms upper bounds.  Both solve ``A 2^-e``
-at level ``alpha 2^-e``, ``2^e`` bringing the largest entry of ``A`` into
-``[0.5, 1)``, and scale the results back (``eta`` by ``2^(p e)``).  That is
-exact, so nothing overflows or underflows and both are homogeneous in ``A``.
+vectors give lower bounds, factor norms upper bounds.  Both, and the public
+objective :func:`_evaluate`, solve ``A 2^-e`` at level ``alpha 2^-e``, ``2^e``
+bringing the largest entry of ``A`` into ``[0.5, 1)``, and scale the results
+back (``eta``, objective values and subgradients by ``2^(p e)``).  That is
+exact, so nothing overflows or underflows and all three are homogeneous in
+``A``.
 """
 
 import math
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emd import emd_minimize
+from .emd import SubgradientSample, emd_minimize
 from .errors import DomainError, SolverError
 from .linalg import _ldexp, _unit_scaled, frobenius_norm, spectral_norm
 
@@ -130,13 +132,33 @@ def _unit_input(program, a):
     return a, e, fro
 
 
+def _unit_level(program, alpha, e):
+    """``alpha * 2**-e``, refused if its ``power`` passes ``MAX_UNIT_LEVEL``."""
+    unit_alpha = _ldexp(alpha, -e)
+    if unit_alpha > MAX_UNIT_LEVEL ** (1.0 / program.power):
+        raise DomainError(
+            f"alpha {alpha:g} puts alpha^{program.power} beyond the float range"
+        )
+    return unit_alpha
+
+
 def _evaluate(program, a, alpha, f):
-    """The program's value and subgradient at checked ``alpha`` and ``f``."""
+    """The program's value and subgradient at checked ``alpha`` and ``f``.
+
+    Evaluated on ``A 2^-e`` at level ``alpha 2^-e``, like :func:`_factorize`;
+    both scale back by ``2^(p e)`` exactly, saturating to ``+-inf``.
+    """
+    alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"alpha must be finite and nonnegative, got {alpha!r}")
     if not np.isfinite(f).all():
         raise DomainError("f must have finite entries")
-    return program(a, float(alpha))(f)
+    a, e = _unit_scaled(a)
+    value, grad = program(a, _unit_level(program, alpha, e))(f)
+    shift = program.power * e
+    with np.errstate(over="ignore"):  # saturates to +-inf, like _ldexp
+        grad = np.ldexp(grad, shift)
+    return SubgradientSample(_ldexp(value, shift), grad)
 
 
 def _factorize(program, a, alpha, emd_budget):
@@ -146,9 +168,7 @@ def _factorize(program, a, alpha, emd_budget):
     alpha = float(alpha)
     if not 0.0 < alpha < math.inf:
         raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
-    unit_alpha = _ldexp(alpha, -e)
-    if unit_alpha > MAX_UNIT_LEVEL ** (1.0 / power):
-        raise DomainError(f"alpha {alpha:g} puts alpha^{power} beyond the float range")
+    unit_alpha = _unit_level(program, alpha, e)
     s = a.shape[1]
     objective = program(a, unit_alpha)
     run = emd_minimize(objective, s, emd_budget, step_mode="adaptive", stop_below=0.0)

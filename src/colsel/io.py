@@ -32,9 +32,24 @@ def _guard_size(rows, cols, path):
 
 
 def _parse_csv(text, path):
+    lines = text.splitlines()
+    first = next((line for line in lines if line.strip()), None)
+    if first is None:
+        raise ParseError(f"{path}: no rows found", code="empty")
+    _guard_size(len(lines), len(first.split(",")), path)
+    # Text that np.loadtxt refuses takes the token loop, which names the
+    # failing line and field.  loadtxt gets the lines, not a StringIO of the
+    # text, which would hold a copy at four bytes per character.
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _parse_csv_tokens(lines, path)
+
+
+def _parse_csv_tokens(lines, path):
     rows = []
     width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -60,10 +75,6 @@ def _parse_csv(text, path):
                     column=colno,
                 ) from None
         rows.append(row)
-        if len(rows) == 1:
-            _guard_size(len(text.splitlines()), width, path)
-    if not rows:
-        raise ParseError(f"{path}: no rows found", code="empty")
     return np.array(rows, dtype=float)
 
 

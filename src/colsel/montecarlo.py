@@ -14,10 +14,14 @@ bounds:
 * for the hollow Gram matrix ``H`` and ``s`` at most a small multiple of
   the stable rank: ``E ||P_delta H P_delta||_{inf->1} <= s / 9``
 
-Norms are evaluated with the exact enumeration oracles, so the matrix is
-capped at ``oracle_cap`` columns.  Trials draw from per-trial streams
+Norms are evaluated by exact enumeration, so the matrix is capped at
+``oracle_cap`` columns.  Trials draw from per-trial streams
 (``SeedSequence(seed, spawn_key=(stream, trial))``), making every experiment
-deterministic in the seed and safe to parallelize by trial.
+deterministic in the seed.  Trials are drawn ``_TRIAL_CHUNK`` at a time;
+their submatrices are then grouped by shape, and each group is scored
+against its shared sign table in batched products
+(``exact._batched_norms``), which give the values of the single-matrix
+oracles bit for bit.
 """
 
 import math
@@ -27,11 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .exact import norm_inf1_exact, norm_inf2_exact
+from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
 from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
 
 DEFAULT_ORACLE_CAP = 20
 MIN_TRIALS = 100
+# trials drawn before each batched scoring; bounds the memory of the draws
+_TRIAL_CHUNK = 1024
 # absorbs summation rounding when the estimate sits exactly on its bound
 _PASS_ULP_SLACK = 1e-12
 
@@ -58,6 +64,22 @@ class ExperimentResult:
 def _trial_rng(seed, stream, trial):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, trial))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+def _trial_values(kind, take, model, n, delta, seed, stream, trials):
+    """Exact ``kind`` norms of ``take(idx)`` over the trials' draws.
+
+    Draws ``_TRIAL_CHUNK`` trials at a time, then scores them in batches.
+    """
+    values = np.empty(trials)
+    for start in range(0, trials, _TRIAL_CHUNK):
+        stop = min(start + _TRIAL_CHUNK, trials)
+        mats = [
+            take(sample_projector(model, n, delta, _trial_rng(seed, stream, t)))
+            for t in range(start, stop)
+        ]
+        values[start:stop] = _batched_norms(mats, kind)
+    return values
 
 
 def sample_projector(model, n, delta, rng):
@@ -114,13 +136,11 @@ def check_inf2_reduction(a, delta, trials, seed=0, oracle_cap=DEFAULT_ORACLE_CAP
     inf2_full, _ = norm_inf2_exact(a)
     r_bound = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(a) + delta * inf2_full
 
-    r_values = np.empty(trials)
-    p_values = np.empty(trials)
-    for t in range(trials):
-        idx = sample_projector("R", n, delta, _trial_rng(seed, 0, t))
-        r_values[t], _ = norm_inf2_exact(a[:, idx])
-        idx = sample_projector("P", n, delta, _trial_rng(seed, 1, t))
-        p_values[t], _ = norm_inf2_exact(a[:, idx])
+    def columns(idx):
+        return a[:, idx]
+
+    r_values = _trial_values("inf2", columns, "R", n, delta, seed, 0, trials)
+    p_values = _trial_values("inf2", columns, "P", n, delta, seed, 1, trials)
 
     r_mean, r_se = _mean_se(r_values)
     p_mean, p_se = _mean_se(p_values)
@@ -190,11 +210,10 @@ def check_inf1_reduction(
     h = hollow_gram(a)
     s = int(math.floor(delta * n))
 
-    values = np.empty(trials)
-    for t in range(trials):
-        idx = sample_projector("P", n, delta, _trial_rng(seed, 2, t))
-        sub = h[np.ix_(idx, idx)]
-        values[t], _ = norm_inf1_exact(sub)
+    def principal(idx):
+        return h[np.ix_(idx, idx)]
+
+    values = _trial_values("inf1", principal, "P", n, delta, seed, 2, trials)
     mean, se = _mean_se(values)
 
     col_norms = float(np.sqrt(np.sum(h * h, axis=0)).sum())

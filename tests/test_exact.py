@@ -10,7 +10,7 @@ from colsel import (
     spectral_norm,
 )
 
-from oracles import naive_norm_inf1, naive_norm_inf2
+from oracles import lowest_code_maximizer, naive_norm_inf1, naive_norm_inf2
 
 
 def test_inf2_examples():
@@ -106,3 +106,64 @@ def test_inf2_scales_with_the_input(c):
         assert np.array_equal(x, unit_x)
     else:
         assert value == pytest.approx(c * unit, rel=1e-12, abs=0.0)
+
+
+# The split enumeration (colsel.exact) scores more than 13 columns from a
+# 13-column low table and blocks of high columns.
+@pytest.mark.parametrize("s", range(1, 18))
+def test_split_matches_naive_enumeration(s):
+    rng = np.random.default_rng(100 + s)
+    b = rng.standard_normal((4, s))
+    assert norm_inf2_exact(b)[0] == pytest.approx(naive_norm_inf2(b), rel=1e-12)
+    g = rng.standard_normal((3, s))
+    assert norm_inf1_exact(g)[0] == pytest.approx(naive_norm_inf1(g), rel=1e-12)
+
+
+def _tied_inputs():
+    rng = np.random.default_rng(6)
+    dup = rng.integers(-2, 3, size=(5, 15)).astype(float)
+    dup[:, [3, 9, 14]] = dup[:, [0, 2, 13]]
+    inputs = {
+        "I8I8": np.hstack([np.eye(8), np.eye(8)]),
+        "I9I9": np.hstack([np.eye(9), np.eye(9)]),
+        "duplicated": dup,
+        "ones": np.ones((2, 14)),
+    }
+    for s in (12, 13, 14, 15, 17):
+        inputs[f"int{s}"] = rng.integers(-1, 2, size=(3, s)).astype(float)
+    return inputs
+
+
+@pytest.mark.parametrize("name", sorted(_tied_inputs()))
+def test_witness_is_the_lowest_code_maximizer(name):
+    mat = _tied_inputs()[name]
+    for oracle, kind in ((norm_inf2_exact, "inf2"), (norm_inf1_exact, "inf1")):
+        value, x = oracle(mat)
+        assert np.array_equal(x, lowest_code_maximizer(mat, kind)), kind
+        image = mat @ x
+        attained = math.sqrt(image @ image) if kind == "inf2" else np.abs(image).sum()
+        assert value == attained  # small integers: every image is exact
+
+
+def test_zero_matrix_above_the_split():
+    for oracle in (norm_inf2_exact, norm_inf1_exact):
+        value, x = oracle(np.zeros((3, 15)))
+        assert value == 0.0
+        assert np.array_equal(x, np.ones(15))
+
+
+@pytest.mark.parametrize("c", [2.0**-600, 2.0**600])
+def test_inf1_scales_with_the_input(c):
+    g = np.random.default_rng(7).standard_normal((6, 16))
+    unit, unit_x = norm_inf1_exact(g)
+    value, x = norm_inf1_exact(c * g)
+    assert value == c * unit
+    assert np.array_equal(x, unit_x)
+
+
+def test_norms_saturate_above_the_float_range():
+    # Split sums of entries near the float maximum once mixed +inf and -inf.
+    big = np.full((2, 20), 1e308)
+    big[:, ::3] *= -1.0
+    assert norm_inf1_exact(big)[0] == math.inf
+    assert norm_inf2_exact(big)[0] == math.inf

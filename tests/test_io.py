@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import colsel.io
 from colsel import DomainError, ParseError, dumps_report, load_matrix, write_report
 from colsel.pietsch import PietschFactorization
 
@@ -219,3 +222,48 @@ def test_write_report_error_names_path(tmp_path):
     bad = tmp_path / "missing-dir" / "out.json"
     with pytest.raises(OSError, match="missing-dir"):
         write_report({"a": 1}, str(bad))
+
+
+def _token_loop(text):
+    """The per-token CSV parser alone, with the fast path's empty check."""
+    lines = text.splitlines()
+    if not any(line.strip() for line in lines):
+        raise ParseError("no rows", code="empty")
+    return colsel.io._parse_csv_tokens(lines, "m.csv")
+
+
+def _outcome(parse, text):
+    try:
+        a = parse(text)
+    except ParseError as exc:
+        return exc.code, exc.line, exc.column
+    return a.shape, a.tobytes()
+
+
+_TOKENS = st.one_of(
+    st.floats().map(lambda v: format(v, ".17g")),
+    st.sampled_from(
+        ["1_0", "", " 2 ", "-0", "nan", "-inf", "Infinity", "+1.5", ".5", "5.",
+         "1e400", "x", "0x10", "1 2", "3\x0c", "\x1c4", "5\x85", "\u2028", "6\r"]
+    ),
+)
+_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "   "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(_LINES, max_size=6),
+    end=st.sampled_from(["", "\n", "\r\n"]),
+    sep=st.sampled_from(["\n", "\r\n"]),
+)
+@example(lines=["1_0,2", "3,4"], end="\n", sep="\n")
+@example(lines=["1,2", "", "3"], end="", sep="\n")
+@example(lines=["1\x1c,2"], end="", sep="\n")
+def test_csv_fast_path_matches_the_token_loop(lines, end, sep):
+    # np.loadtxt must give the loop's bits, or fall back to the loop's errors.
+    text = sep.join(lines) + end
+    expected = _outcome(_token_loop, text)
+    assert _outcome(lambda t: colsel.io._parse_csv(t, "m.csv"), text) == expected

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colsel import (
     DomainError,
@@ -14,6 +16,8 @@ from colsel import (
     sample_projector,
     standardize,
 )
+from colsel.exact import _batched_norms
+from colsel.montecarlo import _mean_se, _trial_rng
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
 
@@ -144,3 +148,48 @@ def test_experiment_validation():
     wide = standardize(np.hstack([np.eye(12), np.eye(12)]))
     with pytest.raises(DomainError, match="capped"):
         check_inf2_reduction(wide, 0.5, 100, seed=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["inf2", "inf1"]),
+    m=st.integers(0, 5),
+    n=st.integers(1, 16),
+    scale=st.sampled_from([2.0**-600, 1e-3, 1.0, 1e5, 2.0**600]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_norms_equal_the_single_oracles(kind, m, n, scale, seed):
+    # Bit for bit, with empty draws, repeated shapes, draws above the split
+    # and (for inf2) inputs without rows.
+    rng = np.random.default_rng(seed)
+    if kind == "inf2":
+        a = scale * rng.standard_normal((m, n))
+        take, oracle = (lambda idx: a[:, idx]), norm_inf2_exact
+    else:
+        a = scale * hollow_gram(standardize(rng.standard_normal((m + 1, n))))
+        take, oracle = (lambda idx: a[np.ix_(idx, idx)]), norm_inf1_exact
+    draws = [np.arange(0), np.arange(n)]
+    for _ in range(10):
+        size = int(rng.integers(0, n + 1))
+        draws.append(np.sort(rng.choice(n, size=size, replace=False)))
+    mats = [take(idx) for idx in draws]
+    expected = [oracle(mat)[0] for mat in mats]
+    assert _batched_norms(mats, kind).tolist() == expected
+
+
+def test_experiments_equal_per_trial_oracles():
+    # Bin(16, 0.8) draws reach 14 to 16 columns in about a third of the trials.
+    a = standardize(rng_from(10).standard_normal((6, 16)))
+    r_res, p_res = check_inf2_reduction(a, 0.8, 100, seed=3)
+    h = hollow_gram(a)
+    i_res = check_inf1_reduction(a, 0.8, 100, seed=3)
+    for res, stream, model, value in (
+        (r_res, 0, "R", lambda idx: norm_inf2_exact(a[:, idx])[0]),
+        (p_res, 1, "P", lambda idx: norm_inf2_exact(a[:, idx])[0]),
+        (i_res, 2, "P", lambda idx: norm_inf1_exact(h[np.ix_(idx, idx)])[0]),
+    ):
+        values = [
+            value(sample_projector(model, 16, 0.8, _trial_rng(3, stream, t)))
+            for t in range(100)
+        ]
+        assert (res.empirical_mean, res.std_error) == _mean_se(values)

@@ -552,3 +552,32 @@ def test_bracket_witnesses_are_canonical():
             assert x[0] == 1.0
             assert set(np.unique(x)) <= {-1.0, 1.0}
             assert norm(mat @ x) == pytest.approx(bracket.alpha_lo, rel=1e-9)
+
+
+@pytest.mark.parametrize("c", [2.0**-500, 2.0**500])
+def test_objectives_are_homogeneous(c):
+    # lambda(c A, c alpha) = c^p lambda(A, alpha), and so is the subgradient.
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((4, 3))
+    g = hollow_gram(standardize(rng.standard_normal((5, 4))))
+    for objective, a, p in ((pietsch_objective, b, 2), (groth_objective, g, 1)):
+        f = rng.random(a.shape[1]) + 0.5
+        f /= f.sum()
+        unit = objective(a, 1.3, f)
+        scaled = objective(c * a, c * 1.3, f)
+        assert scaled.value == c**p * unit.value
+        assert np.array_equal(scaled.subgradient, c**p * unit.subgradient)
+
+
+def test_objectives_at_extreme_scales():
+    # These once raised OverflowError or overflow warnings.
+    f = np.full(3, 1.0 / 3.0)
+    with pytest.raises(DomainError, match="beyond the float range"):
+        pietsch_objective(np.eye(3), 1e200, f)
+    sample = pietsch_objective(1e200 * np.eye(3), 1.0, f)
+    assert sample.value == math.inf  # 1e400 - 1/3 saturates
+    assert np.isfinite(sample.subgradient).all()
+    g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    sample = groth_objective(1e200 * g, 1.0, f)
+    assert sample.value == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-12)
+    assert np.isfinite(sample.subgradient).all()
