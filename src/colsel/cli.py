@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage error, 3 domain/input error, 4 solver error.
 """
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -59,6 +60,7 @@ class RunConfig:
         return self
 
 
+@functools.cache  # parse_args leaves the parser unchanged; building it costs ms
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="colsel",

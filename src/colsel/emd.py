@@ -17,9 +17,13 @@ theta_tj`` (the single cut).  Averaging the cuts with the step sizes
 f_i) + min_j sum beta_i theta_ij) / sum beta_i`` (Nemirovski, Onn and
 Rothblum, "Accuracy certificates for computational problems with convex
 structure", Math. OR 2010); any nonnegative weights give a valid bound.
-The solver keeps the largest cut seen as a running lower bound and stops
-once it brackets the best value within ``GAP_RTOL`` (see
-:func:`emd_minimize`).
+The best nonnegative combination of a set of cuts is Kelley's bound (Kelley,
+"The cutting-plane method for solving convex programs", 1960): the minimum
+over the simplex of the cuts' pointwise maximum.  On simplices of order 16
+and more, a solve with a stop level also keeps its last ``BUNDLE_SIZE`` cuts
+and ascends towards that combination (the bundle cut).  The solver keeps the
+largest cut seen as a running lower bound and stops once it brackets the
+best value within ``GAP_RTOL`` (see :func:`emd_minimize`).
 """
 
 import math
@@ -87,6 +91,69 @@ class _ErgodicCut:
         return self.offset + float(self.theta.min())
 
 
+# The bundle cut combines this many of the latest cuts.
+BUNDLE_SIZE = 16
+
+# Smallest simplex order with a bundle cut.  Below it an evaluation costs
+# about 130 us and the bundle's fixed cost outweighs the evaluations it saves.
+BUNDLE_MIN_ORDER = 16
+
+
+class _Bundle:
+    """The last ``BUNDLE_SIZE`` cuts and warm-started weights over them.
+
+    Any weights ``lambda`` on the simplex over the kept cuts give the lower
+    bound ``L(lambda) = lambda . offset + min_j (lambda^T Theta)_j``, whose
+    maximum is Kelley's bound on those cuts.  :meth:`bound` takes
+    ``ceil(s / 8)`` entropic ascent steps on ``L`` from the weights the last
+    call left, along the supergradient ``offset + Theta[:, j*]`` at the
+    minimizing ``j*``, and returns the largest ``L`` it evaluated.  A new
+    cut enters with the mean weight of the others.
+    """
+
+    def __init__(self, s):
+        self.offsets = np.zeros(BUNDLE_SIZE)
+        self.thetas = np.zeros((BUNDLE_SIZE, s))
+        self.weights = np.zeros(BUNDLE_SIZE)
+        self.count = 0
+        self.steps = -(-s // 8)
+
+    def add(self, offset, theta):
+        i = self.count % BUNDLE_SIZE
+        self.count += 1
+        self.offsets[i] = offset
+        self.thetas[i] = theta
+        self.weights[i] = 0.0
+        total = self.weights.sum()
+        others = min(self.count, BUNDLE_SIZE) - 1
+        self.weights[i] = total / others if total > 0.0 else 1.0
+        self.weights /= self.weights.sum()
+
+    def bound(self):
+        n = min(self.count, BUNDLE_SIZE)
+        newest = (self.count - 1) % BUNDLE_SIZE
+        # L in mean form around the newest cut, so that cuts sharing one
+        # subgradient give exactly their single cut whatever the weights' sum.
+        offset, theta = self.offsets[newest], self.thetas[newest]
+        d_offsets = self.offsets[:n] - offset
+        d_thetas = self.thetas[:n] - theta
+        lam = self.weights[:n]
+        logn = math.log(n)
+        best = -math.inf
+        for k in range(1, self.steps + 1):
+            mix = theta + lam @ d_thetas
+            j = int(np.argmin(mix))
+            best = max(best, offset + float(lam @ d_offsets) + float(mix[j]))
+            g = d_offsets + d_thetas[:, j]
+            spread = float(g.max() - g.min())
+            if not spread > 0.0:  # a single cut, or L is flat along the simplex
+                break
+            lam = lam * np.exp(math.sqrt(2.0 * logn / k) / spread * (g - g.max()))
+            lam /= lam.sum()
+        self.weights[:n] = lam
+        return best
+
+
 def emd_step(weights, beta, theta):
     """One multiplicative reweighting, computed in log space.
 
@@ -97,6 +164,14 @@ def emd_step(weights, beta, theta):
     logw -= logw.max()
     w = np.exp(logw)
     return w / w.sum()
+
+
+def _gap_closed(lower_bound, best_value, stop_below):
+    return (
+        stop_below is not None
+        and lower_bound > stop_below
+        and best_value - lower_bound <= GAP_RTOL * abs(best_value)
+    )
 
 
 def emd_minimize(
@@ -124,6 +199,21 @@ def emd_minimize(
     without it a solve whose minimum sits just above ``stop_below`` needs
     thousands of evaluations to close the gap.  Each cut costs O(s) per
     step.
+
+    With ``stop_below`` set and ``s >= BUNDLE_MIN_ORDER`` (16), an
+    evaluation that leaves the level unreached and the gap open also raises
+    ``LB`` by the bundle cut: ``ceil(s / 8)`` warm-started ascent steps
+    towards the best nonnegative combination of the last ``BUNDLE_SIZE``
+    cuts (see :class:`_Bundle`), O(2 s^2) work per evaluation.  The
+    step-weighted cuts give the cuts taken at high-value points as much
+    weight as the good ones.  On the infeasible order-256 Pietsch solves of
+    two-cluster inputs the bundle cut certifies the gap after 4-6
+    evaluations instead of 6-22, close to the exact LP optimum over the
+    same cuts.  Below order 16 an evaluation costs about 130 us and the
+    bundle does not pay for itself: run at order 8 (one ascent step), it
+    cut the evaluations of the Grothendieck solves of a ``bt_select`` run
+    on 16x48 inputs by 7% and made the run 14% slower (2-vCPU x86-64 host,
+    one BLAS thread).
 
     The solve exits for one of four reasons, recorded in ``EmdRun.exit``:
 
@@ -154,6 +244,7 @@ def emd_minimize(
     lower_bound = -math.inf
     every_cut = _ErgodicCut(s)
     recent_cuts = _ErgodicCut(s)
+    bundle = _Bundle(s) if stop_below is not None and s >= BUNDLE_MIN_ORDER else None
     done = 0
     exit_reason = "budget"
 
@@ -190,13 +281,15 @@ def emd_minimize(
             every_cut.add(beta, offset, theta),
             recent_cuts.add(beta, offset, theta),
         )
-        if (
-            stop_below is not None
-            and lower_bound > stop_below
-            and best_value - lower_bound <= GAP_RTOL * abs(best_value)
-        ):
+        if _gap_closed(lower_bound, best_value, stop_below):
             exit_reason = "gap"
             break
+        if bundle is not None:
+            bundle.add(offset, theta)
+            lower_bound = max(lower_bound, bundle.bound())
+            if _gap_closed(lower_bound, best_value, stop_below):
+                exit_reason = "gap"
+                break
         weights = emd_step(weights, beta, theta)
 
     return EmdRun(

@@ -108,7 +108,6 @@ def _top_pair(h, tol):
         v = np.zeros(h.shape[0])
         v[0] = 1.0
         return EigPair(0.0, v, 0.0)
-    scale = max(1.0, math.sqrt(float(np.sum(h * h))))
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -118,10 +117,13 @@ def _top_pair(h, tol):
     v = v / math.sqrt(float(v @ v))
     r = h @ v - lam * v
     resid = math.sqrt(float(r @ r))
-    if resid > tol * scale:
-        raise SolverError(
-            f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
-        )
+    # The scale is at least 1, so ``||H||_F`` is needed only above ``tol``.
+    if resid > tol:
+        scale = max(1.0, math.sqrt(float(np.sum(h * h))))
+        if resid > tol * scale:
+            raise SolverError(
+                f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
+            )
     return EigPair(lam, v, resid)
 
 

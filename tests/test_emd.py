@@ -5,7 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from colsel import DomainError, emd_minimize, emd_step
+import colsel.factor
+from colsel import (
+    PIETSCH_CONSTANT,
+    DomainError,
+    emd_minimize,
+    emd_step,
+    groth_factorize,
+    hollow_gram,
+    pietsch_factorize,
+    standardize,
+)
 from colsel.emd import GAP_RTOL, SubgradientSample
 
 from oracles import simplex_grid
@@ -146,17 +156,84 @@ def test_minimum_at_stop_below_runs_to_budget():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    c=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=32),
+    c=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=64),
     stop_below=st.one_of(st.none(), st.floats(-20.0, 20.0)),
     mode=st.sampled_from(["fixed-horizon", "adaptive"]),
 )
 # A subnormal subgradient once overflowed the step size to inf.
 @example(c=[0.0, 2.225073858507e-311], stop_below=None, mode="fixed-horizon")
+# Orders 16-64 with the level out of reach run the bundle cut.
+@example(c=[float(j % 7) - 2.5 for j in range(16)], stop_below=-3.0, mode="adaptive")
+@example(c=[math.sin(j) for j in range(64)], stop_below=-2.0, mode="adaptive")
 def test_lower_bound_never_exceeds_linear_minimum(c, stop_below, mode):
     c = np.array(c)
     run = emd_minimize(linear_objective(c), c.size, 60, mode, stop_below=stop_below)
     assert run.exit in ("feasible", "gap", "budget", "zero-step")
     assert run.lower_bound <= c.min()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    s=st.integers(16, 48),
+    pieces=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    stop_below=st.floats(-60.0, 20.0),
+)
+def test_lower_bound_never_exceeds_a_max_of_affine_objective(s, pieces, seed, stop_below):
+    # J(f) = max_i (a_i + G_i . f); every cut, the bundle cut included, is
+    # below J everywhere on the simplex.
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-10.0, 10.0, pieces)
+    g = rng.uniform(-10.0, 10.0, (pieces, s))
+
+    def objective(f):
+        i = int(np.argmax(a + g @ f))
+        return SubgradientSample(float(a[i] + g[i] @ f), g[i])
+
+    run = emd_minimize(objective, s, 200, "adaptive", stop_below=stop_below)
+    points = np.vstack([rng.dirichlet(np.full(s, 0.3), 64), np.eye(s), run.best_point])
+    values = np.max(a[None, :] + points @ g.T, axis=1)
+    assert np.all(run.lower_bound <= values + 1e-9 * (1.0 + np.abs(values)))
+
+
+def _record_solves(monkeypatch):
+    """Record the ``EmdRun`` of every factorization solve."""
+    runs = []
+
+    def recorded(*args, **kwargs):
+        run = emd_minimize(*args, **kwargs)
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(colsel.factor, "emd_minimize", recorded)
+    return runs
+
+
+def test_bundle_cut_stops_an_infeasible_order_256_solve_early(monkeypatch):
+    # Two orthonormal clusters of 128 columns each (the kt-coherent shape):
+    # no weights reach level 8 K_P sqrt(s), and the step-weighted cuts alone
+    # need 21 evaluations to certify the gap.
+    rng = np.random.default_rng(2)
+    centers, _ = np.linalg.qr(rng.standard_normal((64, 2)))
+    b = standardize(centers[:, np.arange(256) % 2] + 0.03 * rng.standard_normal((64, 256)))
+    runs = _record_solves(monkeypatch)
+    fact = pietsch_factorize(b, 8.0 * PIETSCH_CONSTANT * 16.0)
+    (run,) = runs
+    assert fact.eta > 0.0
+    assert run.exit == "gap"
+    assert run.iterations <= 8
+
+
+def test_order_8_solves_run_without_the_bundle_cut(monkeypatch):
+    # Below order 16 the bundle cut is off: this Grothendieck solve of a bt
+    # round keeps the evaluation count of the step-weighted cuts.
+    rng = np.random.default_rng(3)
+    b = standardize(rng.standard_normal((16, 48)))[:, rng.choice(48, 8, replace=False)]
+    runs = _record_solves(monkeypatch)
+    groth_factorize(hollow_gram(b), 2.0)
+    (run,) = runs
+    assert run.exit == "gap"
+    assert run.iterations == 7
 
 
 def test_single_point_simplex():

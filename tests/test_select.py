@@ -129,6 +129,33 @@ def test_kt_determinism():
     assert r1.attempts == r2.attempts
 
 
+def _one_cluster(rng, m, n):
+    """``n`` columns spread by 0.03 around one random unit direction."""
+    center = np.linalg.qr(rng.standard_normal((m, 1)))[0]
+    return center + 0.03 * rng.standard_normal((m, n))
+
+
+def test_kt_on_one_coherent_cluster_accepts_only_small_norms():
+    # The full set has norm 22 and every sample of 256 columns about 15.6,
+    # above the threshold, so the accepted set is the 128-column round.
+    a = standardize(_one_cluster(rng_from(0), 64, 512))
+    report = kt_select(a, seed=0)
+    assert spectral_norm(a[:, report.tau]) <= 15.0
+    assert report.tau.size == 128
+
+
+def test_norm_reduce_prunes_the_heavy_columns_of_a_coherent_cluster():
+    # Half the columns sit around one direction and half are Gaussian: the
+    # factorization gives some cluster columns weights above 2/s, and the
+    # pruning drops those, never a Gaussian column.
+    rng = rng_from(0)
+    a = standardize(np.hstack([_one_cluster(rng, 64, 128), rng.standard_normal((64, 128))]))
+    tau = norm_reduce(a, 256, rng_from(0))
+    dropped = np.setdiff1d(np.arange(256), tau)
+    assert dropped.size > 0
+    assert np.all(dropped < 128)
+
+
 def test_kt_rejects_nonstandardized():
     with pytest.raises(DomainError, match="unit-norm"):
         kt_select(np.diag([2.0, 1.0]))
