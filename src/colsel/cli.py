@@ -6,6 +6,22 @@ brackets), ``oracle`` (exact enumeration), ``experiment`` (random-submatrix
 Monte Carlo).  Every run prints one JSON object with keys ``command``,
 ``config``, ``input_shape``, ``result``, ``timings_ms``.
 
+Every subcommand takes the matrix path and ``--format``, ``--standardize``,
+``--timings`` and ``--output``; beyond those it declares only the options it
+reads:
+
+* ``kt``, ``bt``: ``--seed``, ``--iters``, ``--threshold``;
+* ``pietsch``, ``grothendieck``: ``--iters``, ``--alpha``;
+* ``norm``: ``--iters``, ``--rel-tol``, ``--kind``;
+* ``oracle``: ``--kind``;
+* ``experiment``: ``--seed``, ``--kind``, ``--delta``, ``--trials``,
+  ``--regime``.
+
+``config`` echoes the settings among them under fixed keys:
+``standardize_input`` always, ``seed``, ``emd_iterations`` (``--iters``),
+``rel_tol`` where the subcommand takes them, and ``kt_norm_threshold`` or
+``bt_kappa_threshold`` (``--threshold``) for ``kt`` and ``bt``.
+
 Output is byte-identical across runs for a fixed seed; wall-clock timings
 are only reported with ``--timings`` (they are ``null`` otherwise, keeping
 the default output deterministic).
@@ -17,7 +33,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 from . import montecarlo
 from .emd import EMD_BUDGET
@@ -27,7 +42,6 @@ from .factor import REL_TOL
 from .grothendieck import groth_factorize, groth_optimal_alpha
 from .io import load_matrix, write_report
 from .linalg import stable_rank, standardize
-from .montecarlo import DEFAULT_ORACLE_CAP
 from .pietsch import pietsch_factorize, pietsch_optimal_alpha
 from .select import BT_KAPPA_THRESHOLD, KT_NORM_THRESHOLD, bt_select, kt_select
 
@@ -35,29 +49,15 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 3
 SOLVER_ERROR = 4
 
-
-@dataclass
-class RunConfig:
-    """Resolved run configuration, echoed into every report."""
-
-    seed: int = 0
-    emd_iterations: int = EMD_BUDGET
-    rel_tol: float = REL_TOL
-    standardize_input: bool = False
-    kt_norm_threshold: float = KT_NORM_THRESHOLD
-    bt_kappa_threshold: float = BT_KAPPA_THRESHOLD
-    oracle_cap: int = DEFAULT_ORACLE_CAP
-
-    def validate(self):
-        if self.emd_iterations < 1 or self.oracle_cap < 1:
-            raise DomainError("iteration and cap counts must be >= 1")
-        if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError("rel-tol must lie in (0, 1)")
-        if self.kt_norm_threshold <= 0 or self.bt_kappa_threshold <= 0:
-            raise DomainError("thresholds must be positive")
-        if self.seed < 0 or self.seed >= 2**64:
-            raise DomainError("seed must fit in 64 bits")
-        return self
+# The settings a subcommand may take: config key -> (flag, argparse options).
+_SETTINGS = {
+    "seed": ("--seed", {"type": int, "default": 0}),
+    "emd_iterations": ("--iters", {"type": int, "default": EMD_BUDGET,
+                                   "help": "mirror-descent budget"}),
+    "rel_tol": ("--rel-tol", {"type": float, "default": REL_TOL}),
+    "kt_norm_threshold": ("--threshold", {"type": float, "default": KT_NORM_THRESHOLD}),
+    "bt_kappa_threshold": ("--threshold", {"type": float, "default": BT_KAPPA_THRESHOLD}),
+}
 
 
 @functools.cache  # parse_args leaves the parser unchanged; building it costs ms
@@ -69,51 +69,39 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_alpha=False):
+    def command(name, help, *settings):
+        p = sub.add_parser(name, help=help)
         p.add_argument("matrix", help="path to the input matrix")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--iters", type=int, default=EMD_BUDGET, help="mirror-descent budget")
-        p.add_argument("--rel-tol", type=float, default=REL_TOL)
+        for key in settings:
+            flag, options = _SETTINGS[key]
+            p.add_argument(flag, dest=key, **options)
         p.add_argument("--format", choices=["csv", "matrix-market"], default=None)
-        p.add_argument("--standardize", action="store_true",
+        p.add_argument("--standardize", dest="standardize_input", action="store_true",
                        help="rescale columns to unit norm before running")
         p.add_argument("--timings", action="store_true",
                        help="include wall-clock timings (breaks byte-identical output)")
         p.add_argument("--output", default=None, help="write the report here instead of stdout")
-        if needs_alpha:
-            p.add_argument("--alpha", type=float, required=True)
+        p.set_defaults(config_keys=("standardize_input", *settings))
+        return p
 
-    p = sub.add_parser("kt", help="spectral-norm column selection")
-    add_common(p)
-    p.add_argument("--threshold", type=float, default=KT_NORM_THRESHOLD)
-
-    p = sub.add_parser("bt", help="condition-number column selection")
-    add_common(p)
-    p.add_argument("--threshold", type=float, default=BT_KAPPA_THRESHOLD)
-
-    p = sub.add_parser("pietsch", help="factor B = T D at a given norm level")
-    add_common(p, needs_alpha=True)
-
-    p = sub.add_parser("grothendieck", help="factor symmetric G = D T D at a given level")
-    add_common(p, needs_alpha=True)
-
-    p = sub.add_parser("norm", help="certified bracket for an NP-hard norm")
-    add_common(p)
-    p.add_argument("--kind", choices=["inf2", "inf1"], required=True)
-
-    p = sub.add_parser("oracle", help="exact norm by sign enumeration")
-    add_common(p)
-    p.add_argument("--kind", choices=["inf2", "inf1"], required=True)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
-
-    p = sub.add_parser("experiment", help="random-submatrix norm experiments")
-    add_common(p)
-    p.add_argument("--kind", choices=["inf2", "inf1"], default="inf2")
+    kinds = ["inf2", "inf1"]
+    command("kt", "spectral-norm column selection",
+            "seed", "emd_iterations", "kt_norm_threshold")
+    command("bt", "condition-number column selection",
+            "seed", "emd_iterations", "bt_kappa_threshold")
+    for name, help in (("pietsch", "factor B = T D at a given norm level"),
+                       ("grothendieck", "factor symmetric G = D T D at a given level")):
+        command(name, help, "emd_iterations").add_argument("--alpha", type=float, required=True)
+    p = command("norm", "certified bracket for an NP-hard norm", "emd_iterations", "rel_tol")
+    p.add_argument("--kind", choices=kinds, required=True)
+    p = command("oracle", "exact norm by sign enumeration")
+    p.add_argument("--kind", choices=kinds, required=True)
+    p = command("experiment", "random-submatrix norm experiments", "seed")
+    p.add_argument("--kind", choices=kinds, default="inf2")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--regime", action="store_true",
                    help="assert the small-sample regime for the inf1 bound")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP)
     return parser
 
 
@@ -157,85 +145,67 @@ def _bracket_result(bracket):
     }
 
 
-def _experiment_result(args, a, config):
+def _experiment_result(args, a):
     if args.kind == "inf2":
-        r_res, p_res = montecarlo.check_inf2_reduction(
-            a, args.delta, args.trials, seed=config.seed, oracle_cap=config.oracle_cap
-        )
+        r_res, p_res = montecarlo.check_inf2_reduction(a, args.delta, args.trials, seed=args.seed)
         poisson_ok, lhs, rhs = montecarlo.poissonization_check(p_res, r_res)
         return {
             "results": [r_res, p_res],
             "poissonization": {"ok": poisson_ok, "lhs": lhs, "rhs": rhs},
         }
     res = montecarlo.check_inf1_reduction(
-        a,
-        args.delta,
-        args.trials,
-        seed=config.seed,
-        regime=args.regime,
-        oracle_cap=config.oracle_cap,
+        a, args.delta, args.trials, seed=args.seed, regime=args.regime
     )
     return {"results": [res]}
 
 
 def _run(args):
-    config = RunConfig(
-        seed=args.seed,
-        emd_iterations=args.iters,
-        rel_tol=args.rel_tol,
-        standardize_input=args.standardize,
-        oracle_cap=getattr(args, "oracle_cap", DEFAULT_ORACLE_CAP),
-    )
-    if args.command == "kt":
-        config.kt_norm_threshold = args.threshold
-    if args.command == "bt":
-        config.bt_kappa_threshold = args.threshold
-    config.validate()
+    config = {key: getattr(args, key) for key in args.config_keys}
+    # Each check states what must hold, so NaN fails it too.
+    if not 0 <= config.get("seed", 0) < 2**64:
+        raise DomainError("seed must fit in 64 bits")
+    if not config.get("emd_iterations", 1) >= 1:
+        raise DomainError("iteration counts must be >= 1")
+    if not 0.0 < config.get("rel_tol", REL_TOL) < 1.0:
+        raise DomainError("rel-tol must lie in (0, 1)")
 
     a = load_matrix(args.matrix, fmt=args.format)
-    if config.standardize_input:
+    if args.standardize_input:
         a = standardize(a)
 
     timer = time.perf_counter()
     if args.command == "kt":
-        report = kt_select(a, config.seed, threshold=config.kt_norm_threshold,
-                           emd_iterations=config.emd_iterations)
+        report = kt_select(a, args.seed, threshold=args.kt_norm_threshold,
+                           emd_iterations=args.emd_iterations)
         result = _selection_result(report, a, "norm_of_tau")
     elif args.command == "bt":
-        report = bt_select(a, config.seed, threshold=config.bt_kappa_threshold,
-                           emd_iterations=config.emd_iterations)
+        report = bt_select(a, args.seed, threshold=args.bt_kappa_threshold,
+                           emd_iterations=args.emd_iterations)
         result = _selection_result(report, a, "kappa_of_tau")
     elif args.command == "pietsch":
-        fact = pietsch_factorize(a, args.alpha, config.emd_iterations)
+        fact = pietsch_factorize(a, args.alpha, args.emd_iterations)
         result = _factorization_result(fact, args.alpha)
     elif args.command == "grothendieck":
-        fact = groth_factorize(a, args.alpha, config.emd_iterations)
+        fact = groth_factorize(a, args.alpha, args.emd_iterations)
         result = _factorization_result(fact, args.alpha)
     elif args.command == "norm":
-        if args.kind == "inf2":
-            bracket = pietsch_optimal_alpha(a, config.rel_tol, config.emd_iterations)
-        else:
-            bracket = groth_optimal_alpha(a, config.rel_tol, config.emd_iterations)
-        result = _bracket_result(bracket)
+        optimal_alpha = pietsch_optimal_alpha if args.kind == "inf2" else groth_optimal_alpha
+        result = _bracket_result(optimal_alpha(a, args.rel_tol, args.emd_iterations))
         result["kind"] = args.kind
     elif args.command == "oracle":
-        if a.shape[1] > config.oracle_cap:
-            raise DomainError(
-                f"matrix has {a.shape[1]} columns; oracle cap is {config.oracle_cap}"
-            )
         value, witness = (
             norm_inf2_exact(a) if args.kind == "inf2" else norm_inf1_exact(a)
         )
         result = {"kind": args.kind, "value": value, "witness": witness}
     elif args.command == "experiment":
-        result = _experiment_result(args, a, config)
+        result = _experiment_result(args, a)
     else:  # pragma: no cover - argparse enforces the choices
         raise DomainError(f"unknown command {args.command!r}")
     elapsed_ms = (time.perf_counter() - timer) * 1000.0
 
     report = {
         "command": args.command,
-        "config": asdict(config),
+        "config": config,
         "input_shape": [int(a.shape[0]), int(a.shape[1])],
         "result": result,
         "timings_ms": elapsed_ms if args.timings else None,

@@ -11,6 +11,9 @@ By sign symmetry only half the cube is scanned: the first coordinate is
 pinned to +1, and the sign vector with code ``c`` has entry ``j + 1`` equal
 to -1 iff bit ``j`` of ``c`` is set.  Up to ``_LOW_COLUMNS`` columns, one
 product ``A X^T`` against the table ``X`` of all codes scores every vector.
+That path (:func:`_stack_norms`) takes a stack of same-shape matrices: a
+single oracle call is a stack of one, and the Monte Carlo experiments
+(:func:`_batched_norms`) score their trials in stacks, with the same bits.
 
 Wider inputs are split (meet in the middle, Horowitz and Sahni 1974): the
 first ``_LOW_COLUMNS`` columns ``A_lo`` give the table ``P = A_lo X_lo^T``
@@ -18,17 +21,22 @@ first ``_LOW_COLUMNS`` columns ``A_lo`` give the table ``P = A_lo X_lo^T``
 blocks, each high sign vector giving ``v = A_hi x_hi``.  The score of the
 pair is ``||v||^2 + 2 v^T P + ||P||^2`` for (inf->2), one GEMM per block,
 and ``sum_rows |v + P|`` for (inf->1): ``O(m)`` per sign vector instead of
-``O(m s)``.
+``O(m s)``.  A tall (inf->2) input (``m > s``) is split on the ``s x s``
+factor ``R`` of ``A = Q R`` instead, since ``||A x|| = ||R x||``, so the
+tables do not grow with ``m``.
 
 The winner is the first maximum in code order (the lowest code among the
 maximizers).  Split scores round differently from a direct product, so above
 the split every vector within ``_TIE_WINDOW`` (relative) of the best score
-is scored again by a direct product, and the first maximum of those wins.
-The reported value is always measured by a direct product at the winner.
-Both norms are evaluated on the input scaled by a power of two that brings
-its largest entry into ``[0.5, 1)``, and scaled back; that is exact, so no
-square or sum overflows and the values saturate to ``inf`` beyond the float
-range.
+is scored again by a direct product on ``A``, and the first maximum of those
+wins.  The reported value is always measured by a direct product at the
+winner.  Both norms are evaluated on the input scaled by a power of two that
+brings its largest entry into ``[0.5, 1)`` (``linalg._unit_scaled``), and
+scaled back; that is exact, so no square or sum overflows and the values
+saturate to ``inf`` beyond the float range.
+
+``ENUMERATION_CAP`` (20 columns, ``2^19`` sign vectors) is the one limit on
+the input: the CLI and the experiments refuse wider inputs through it.
 """
 
 import functools
@@ -39,7 +47,7 @@ import numpy as np
 from .errors import DomainError
 from .linalg import _ldexp, _unit_scaled, as_matrix
 
-ENUMERATION_CAP = 22
+ENUMERATION_CAP = 20
 # The pinned first column and 12 code bits: a 4096-row low table.
 _LOW_COLUMNS = 13
 # Entries of one scratch array: a block of split scores or of batched images.
@@ -89,16 +97,39 @@ def _inf1_scores(images):
 _SCORES = {"inf2": _inf2_scores, "inf1": _inf1_scores}
 
 
-def _enumerate_max(mat, kind):
-    """``(score, x)``: the maximal score over half the sign cube and its
-    lowest-code maximizer."""
+def _scaled_back(score, e, kind):
+    """The norm of a matrix whose unit-scaled copy (exponent ``e``) has
+    best score ``score``."""
+    return _ldexp(math.sqrt(score) if kind == "inf2" else score, e)
+
+
+def _stack_norms(stack, kind):
+    """``(values, codes)``: for each matrix of a ``(K, m, s)`` stack with
+    ``1 <= s <= _LOW_COLUMNS``, its norm and the lowest code attaining it.
+
+    Each matrix is scaled to unit size on its own and scored against the
+    shared pinned table; the products are chunked to about
+    ``_BATCH_ENTRIES`` image entries, and each matrix gets the product it
+    would get alone.
+    """
+    stack, exps = _unit_scaled(stack)
+    count, m, s = stack.shape
+    table = _pinned_table(s)
+    step = max(1, _BATCH_ENTRIES // max(1, m * table.shape[0]))
+    codes, tops = np.empty(count, dtype=np.intp), np.empty(count)
+    for k in range(0, count, step):
+        scores = _SCORES[kind](stack[k : k + step] @ table.T)
+        codes[k : k + step] = scores.argmax(axis=1)
+        tops[k : k + step] = scores.max(axis=1)
+    values = [_scaled_back(float(top), int(e), kind) for top, e in zip(tops, exps)]
+    return values, codes
+
+
+def _split_max(mat, kind):
+    """``(score, x)`` for one unit-scaled matrix above the split: the maximal
+    score over half the sign cube and its lowest-code maximizer."""
     s = mat.shape[1]
     score = _SCORES[kind]
-    if s <= _LOW_COLUMNS:
-        table = _pinned_table(s)
-        scores = score(mat @ table.T)
-        k = int(np.argmax(scores))
-        return float(scores[k]), table[k].copy()
     if not mat.any():  # every vector ties at 0; code 0 wins
         return 0.0, np.ones(s)
     low, high = _pinned_table(_LOW_COLUMNS), _sign_table(s - _LOW_COLUMNS)
@@ -106,7 +137,9 @@ def _enumerate_max(mat, kind):
     def vectors(codes):
         return np.hstack([low[codes % len(low)], high[codes // len(low)]])
 
-    codes = _split_candidates(mat, kind, low, high)
+    # ||A x|| = ||R x|| for A = Q R: a tall input is split on its s x s factor.
+    tall = kind == "inf2" and mat.shape[0] > s
+    codes = _split_candidates(np.linalg.qr(mat, mode="r") if tall else mat, kind, low, high)
     winner = int(codes[0])
     if codes.size > 1:  # near-ties: the first maximum of direct products wins
         best = -math.inf
@@ -165,17 +198,25 @@ def _check_enumerable(mat, name):
     return mat
 
 
+def _exact(mat, kind):
+    """``(value, x)`` for one checked matrix: a stack of one up to the split."""
+    s = mat.shape[1]
+    if s == 0:
+        return 0.0, np.zeros(0)
+    if s <= _LOW_COLUMNS:
+        values, codes = _stack_norms(mat[None], kind)
+        return values[0], _pinned_table(s)[codes[0]].copy()
+    mat, e = _unit_scaled(mat)
+    score, x = _split_max(mat, kind)
+    return _scaled_back(score, e, kind), x
+
+
 def norm_inf2_exact(b):
     """Exact ``max ||B x||_2`` over sign vectors ``x``, with a maximizer.
 
     Returns ``(value, x)``.  An empty matrix has norm 0.
     """
-    b = _check_enumerable(b, "B")
-    if b.shape[1] == 0:
-        return 0.0, np.zeros(0)
-    b, e = _unit_scaled(b)  # exact, so the squares neither overflow nor underflow
-    sq, x = _enumerate_max(b, "inf2")
-    return _ldexp(math.sqrt(sq), e), x
+    return _exact(_check_enumerable(b, "B"), "inf2")
 
 
 def norm_inf1_exact(g):
@@ -183,47 +224,23 @@ def norm_inf1_exact(g):
 
     Returns ``(value, x)``.  An empty matrix has norm 0.
     """
-    g = _check_enumerable(g, "G")
-    if g.shape[1] == 0:
-        return 0.0, np.zeros(0)
-    g, e = _unit_scaled(g)  # exact, so the split sums cannot overflow
-    val, x = _enumerate_max(g, "inf1")
-    return _ldexp(val, e), x
+    return _exact(_check_enumerable(g, "G"), "inf1")
 
 
 def _batched_norms(mats, kind):
     """The values of ``norm_inf2_exact`` or ``norm_inf1_exact`` (``kind``)
     at each of the checked matrices ``mats``, bit for bit.
 
-    Matrices of one shape with rows and 1 to ``_LOW_COLUMNS`` columns are
-    stacked and scored against their shared sign table in one batched
-    product, chunked to about ``_BATCH_ENTRIES`` image entries; each item of
-    the batch is the product the single-matrix path computes.  Other shapes
-    take that path.
+    Matrices of one shape with 1 to ``_LOW_COLUMNS`` columns go through
+    :func:`_stack_norms` as one stack; the others through the single oracle.
     """
     values = np.empty(len(mats))
     groups = {}
     for i, mat in enumerate(mats):
         groups.setdefault(mat.shape, []).append(i)
-    single = norm_inf2_exact if kind == "inf2" else norm_inf1_exact
-    for (m, s), members in groups.items():
-        if m == 0 or not 1 <= s <= _LOW_COLUMNS:
-            for i in members:
-                values[i] = single(mats[i])[0]
-            continue
-        stack = np.stack([mats[i] for i in members])
-        # per-matrix unit scaling, as _unit_scaled does
-        peaks = np.abs(stack).max(axis=(1, 2))
-        exps = np.where(peaks > 0.0, np.frexp(peaks)[1], 0)
-        stack = np.ldexp(stack, -exps[:, None, None])
-        table = _pinned_table(s)
-        step = max(1, _BATCH_ENTRIES // (m * table.shape[0]))
-        best = np.concatenate([
-            _SCORES[kind](stack[k : k + step] @ table.T).max(axis=1)
-            for k in range(0, len(members), step)
-        ])
-        if kind == "inf2":
-            best = np.sqrt(best)
-        for i, top, e in zip(members, best, exps):
-            values[i] = _ldexp(float(top), int(e))
+    for (_, s), members in groups.items():
+        if 1 <= s <= _LOW_COLUMNS:
+            values[members] = _stack_norms(np.stack([mats[i] for i in members]), kind)[0]
+        else:
+            values[members] = [_exact(mats[i], kind)[0] for i in members]
     return values

@@ -50,13 +50,11 @@ def _unit_scaled(a):
     Scaling by a power of two is exact, so norms computed from squared
     entries of the scaled matrix and multiplied back by ``2**e`` neither
     underflow nor overflow, and equal the unscaled results wherever those
-    stay in range.
+    stay in range.  A zero matrix has ``e = 0``.  On a ``(K, m, n)`` stack
+    each matrix is scaled on its own, and ``e`` is the array of exponents.
     """
-    peak = float(np.abs(a).max()) if a.size else 0.0
-    if peak == 0.0:
-        return a, 0
-    e = math.frexp(peak)[1]
-    return np.ldexp(a, -e), e
+    e = np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
+    return np.ldexp(a, -e[..., None, None]), (e if a.ndim == 3 else int(e))
 
 
 def _ldexp(x, e):

@@ -15,13 +15,12 @@ bounds:
   the stable rank: ``E ||P_delta H P_delta||_{inf->1} <= s / 9``
 
 Norms are evaluated by exact enumeration, so the matrix is capped at
-``oracle_cap`` columns.  Trials draw from per-trial streams
+``exact.ENUMERATION_CAP`` columns; the full-matrix oracle call refuses a
+wider input before any trial is drawn.  Trials draw from per-trial streams
 (``SeedSequence(seed, spawn_key=(stream, trial))``), making every experiment
 deterministic in the seed.  Trials are drawn ``_TRIAL_CHUNK`` at a time;
-their submatrices are then grouped by shape, and each group is scored
-against its shared sign table in batched products
-(``exact._batched_norms``), which give the values of the single-matrix
-oracles bit for bit.
+their submatrices are then scored in stacks of one shape by the path the
+single-matrix oracles take (``exact._batched_norms``), with the same bits.
 """
 
 import math
@@ -34,7 +33,6 @@ from .errors import DomainError
 from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
 from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
 
-DEFAULT_ORACLE_CAP = 20
 MIN_TRIALS = 100
 # trials drawn before each batched scoring; bounds the memory of the draws
 _TRIAL_CHUNK = 1024
@@ -97,14 +95,6 @@ def sample_projector(model, n, delta, rng):
     raise DomainError(f"unknown sampling model {model!r}")
 
 
-def _check_oracle_cap(n, oracle_cap):
-    if n > oracle_cap:
-        raise DomainError(
-            f"matrix has {n} columns; exact-oracle experiments are capped at "
-            f"{oracle_cap}"
-        )
-
-
 def _passes(mean, bound, se):
     return mean <= bound + 3.0 * se + _PASS_ULP_SLACK * max(1.0, abs(bound))
 
@@ -119,7 +109,16 @@ def _mean_se(values):
     return mean, se
 
 
-def check_inf2_reduction(a, delta, trials, seed=0, oracle_cap=DEFAULT_ORACLE_CAP):
+def _check_experiment(a, delta, trials):
+    if not 0.0 <= delta <= 1.0:
+        raise DomainError("delta must lie in [0, 1]")
+    a = as_matrix(a, "A")
+    if trials < MIN_TRIALS:
+        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
+    return a
+
+
+def check_inf2_reduction(a, delta, trials, seed=0):
     """Estimate ``E ||A P|| _{inf->2}`` under both models and compare to theory.
 
     Returns ``(r_result, p_result)``.  The independent-selector bound is the
@@ -127,12 +126,8 @@ def check_inf2_reduction(a, delta, trials, seed=0, oracle_cap=DEFAULT_ORACLE_CAP
     when the standardized small-sample regime holds and twice the
     independent-selector bound otherwise (via Poissonization).
     """
-    a = as_matrix(a, "A")
+    a = _check_experiment(a, delta, trials)
     n = a.shape[1]
-    _check_oracle_cap(n, oracle_cap)
-    if trials < MIN_TRIALS:
-        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
-
     inf2_full, _ = norm_inf2_exact(a)
     r_bound = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(a) + delta * inf2_full
 
@@ -182,15 +177,7 @@ def poissonization_check(p_result, r_result):
     return lhs <= rhs, lhs, rhs
 
 
-def check_inf1_reduction(
-    a,
-    delta,
-    trials,
-    seed=0,
-    *,
-    regime=False,
-    oracle_cap=DEFAULT_ORACLE_CAP,
-):
+def check_inf1_reduction(a, delta, trials, seed=0, *, regime=False):
     """Estimate ``E ||P H P||_{inf->1}`` for the hollow Gram matrix ``H``.
 
     With ``regime=True`` the caller asserts ``s = floor(delta n)`` is within
@@ -201,13 +188,10 @@ def check_inf1_reduction(
     (hollow matrices have no diagonal term) and ``fitted_constant`` is the
     ratio of the empirical mean to it.
     """
-    a = as_matrix(a, "A")
+    a = _check_experiment(a, delta, trials)
     n = a.shape[1]
-    _check_oracle_cap(n, oracle_cap)
-    if trials < MIN_TRIALS:
-        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
-
     h = hollow_gram(a)
+    inf1_full, _ = norm_inf1_exact(h)
     s = int(math.floor(delta * n))
 
     def principal(idx):
@@ -217,7 +201,6 @@ def check_inf1_reduction(
     mean, se = _mean_se(values)
 
     col_norms = float(np.sqrt(np.sum(h * h, axis=0)).sum())
-    inf1_full, _ = norm_inf1_exact(h)
     bracket = delta**2 * inf1_full + delta**1.5 * 2.0 * col_norms
     fitted = mean / bracket if bracket > 0 else None
 

@@ -114,7 +114,10 @@ def _size_schedule(n):
     return sizes
 
 
-def _doubling_search(a, seed, emd_iterations, reduce_step, metric, accepts):
+def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
+    """Accepts a candidate whose re-measured ``metric`` is at most ``limit``."""
+    if not limit > 0:  # written so that a NaN threshold is refused too
+        raise DomainError("threshold must be positive")
     a = _require_standardized(a)
     seed = int(seed)
     n = a.shape[1]
@@ -134,7 +137,7 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, accepts):
                 continue
             value = metric(a[:, candidate])
             log.append((s, k, int(candidate.size), value))
-            if accepts(value):
+            if value <= limit:
                 tau_star = candidate
                 best_metric = value
                 break
@@ -170,8 +173,7 @@ def kt_select(
     candidate is accepted only after its spectral norm is re-measured and
     passes the threshold.  Always returns at least column 0.
     """
-    return _doubling_search(a, seed, emd_iterations, norm_reduce, spectral_norm,
-                            lambda value: value <= threshold)
+    return _doubling_search(a, seed, emd_iterations, norm_reduce, spectral_norm, threshold)
 
 
 def bt_select(
@@ -183,4 +185,4 @@ def bt_select(
     on a re-measured condition number.  Always returns at least column 0.
     """
     return _doubling_search(a, seed, emd_iterations, cond_reduce, condition_number,
-                            lambda value: value <= threshold * (1.0 + _KAPPA_SLACK))
+                            threshold * (1.0 + _KAPPA_SLACK))

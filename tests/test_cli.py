@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,3 +233,82 @@ def test_invalid_config_rejected(capsys, i2_csv):
     assert code == 3
     code, _, err = run_cli(capsys, "norm", "--kind", "inf2", "--rel-tol", "1.5", i2_csv)
     assert code == 3
+
+
+@pytest.fixture
+def hadamard_csv(tmp_path):
+    # Symmetric with unit-norm columns: every subcommand accepts it as is.
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+    p = tmp_path / "h4.csv"
+    p.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in h) + "\n")
+    return str(p)
+
+
+REQUIRED = {
+    "kt": [], "bt": [], "pietsch": ["--alpha", "4"], "grothendieck": ["--alpha", "4"],
+    "norm": ["--kind", "inf2"], "oracle": ["--kind", "inf2"],
+    "experiment": ["--delta", "0.5", "--trials", "100"],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    *((c, "--rel-tol", "0.1") for c in ("kt", "bt", "pietsch", "grothendieck", "oracle", "experiment")),
+    *((c, "--seed", "1") for c in ("pietsch", "grothendieck", "norm", "oracle")),
+    *((c, "--iters", "100") for c in ("oracle", "experiment")),
+    *((c, "--oracle-cap", "20") for c in ("oracle", "experiment")),
+])
+def test_options_nothing_reads_are_usage_errors(capsys, hadamard_csv, command, flag, value):
+    code, out, err = run_cli(capsys, command, *REQUIRED[command], flag, value, hadamard_csv)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+CONFIG_KEYS = {
+    "kt": ["emd_iterations", "kt_norm_threshold", "seed", "standardize_input"],
+    "bt": ["bt_kappa_threshold", "emd_iterations", "seed", "standardize_input"],
+    "pietsch": ["emd_iterations", "standardize_input"],
+    "grothendieck": ["emd_iterations", "standardize_input"],
+    "norm": ["emd_iterations", "rel_tol", "standardize_input"],
+    "oracle": ["standardize_input"],
+    "experiment": ["seed", "standardize_input"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_KEYS))
+def test_config_echoes_the_settings_the_subcommand_reads(capsys, hadamard_csv, command):
+    code, out, _ = run_cli(capsys, command, *REQUIRED[command], hadamard_csv)
+    assert code == 0
+    assert sorted(json.loads(out)["config"]) == CONFIG_KEYS[command]
+
+
+def test_readme_command_line_examples_run(capsys, hadamard_csv):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [line.split("#")[0].split()[1:] for line in readme.splitlines()
+                if line.startswith("colsel ")]
+    assert {argv[0] for argv in examples} == set(CONFIG_KEYS)
+    for argv in examples:
+        argv = [hadamard_csv if arg.endswith(".csv") else arg for arg in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
+@pytest.mark.parametrize("delta", ["1.5", "-0.5"])
+@pytest.mark.parametrize("kind", ["inf2", "inf1"])
+def test_experiment_delta_outside_the_unit_interval_exit_3(capsys, hadamard_csv, kind, delta):
+    # inf2 once crashed with an uncaught "math domain error".
+    code, out, err = run_cli(capsys, "experiment", "--kind", kind, "--delta", delta,
+                             "--trials", "100", hadamard_csv)
+    assert code == 3
+    assert out == ""
+    assert "delta" in err
+
+
+@pytest.mark.parametrize("command", ["kt", "bt"])
+@pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+def test_threshold_must_be_positive_exit_3(capsys, hadamard_csv, command, threshold):
+    # A NaN threshold once returned a one-column selection with exit 0.
+    code, out, err = run_cli(capsys, command, "--threshold", threshold, hadamard_csv)
+    assert code == 3
+    assert out == ""
+    assert "threshold" in err

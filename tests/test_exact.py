@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from colsel import (
+    ENUMERATION_CAP,
     DomainError,
     norm_inf1_exact,
     norm_inf2_exact,
@@ -167,3 +169,39 @@ def test_norms_saturate_above_the_float_range():
     big[:, ::3] *= -1.0
     assert norm_inf1_exact(big)[0] == math.inf
     assert norm_inf2_exact(big)[0] == math.inf
+
+
+def test_cap_is_twenty_columns():
+    # One cap for every caller; 21 and 22 columns were once enumerated.
+    assert ENUMERATION_CAP == 20
+    for oracle in (norm_inf2_exact, norm_inf1_exact):
+        for s in (21, 22):
+            with pytest.raises(DomainError, match="capped at 20"):
+                oracle(np.ones((2, s)))
+        assert oracle(np.ones((1, 20)))[0] == 20.0
+
+
+@pytest.mark.parametrize("m", [17, 40])
+def test_tall_tied_input_above_the_split(m):
+    # Tall inf2 inputs are split on their triangular factor; the near-ties
+    # are still judged on the input itself.
+    rng = np.random.default_rng(m)
+    tall = rng.integers(-1, 2, size=(m, 16)).astype(float)
+    tall[:, [5, 12, 15]] = tall[:, [0, 1, 14]]
+    value, x = norm_inf2_exact(tall)
+    assert np.array_equal(x, lowest_code_maximizer(tall, "inf2"))
+    image = tall @ x
+    assert value == naive_norm_inf2(tall) == math.sqrt(image @ image)  # all exact
+
+
+def test_tall_input_memory_does_not_grow_with_rows():
+    # The split tables once held m x 4096 entries: about 130 MB here.
+    tall = np.random.default_rng(8).standard_normal((2000, 20))
+    tracemalloc.start()
+    try:
+        value, x = norm_inf2_exact(tall)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    assert value == pytest.approx(np.linalg.norm(tall @ x), rel=1e-14)

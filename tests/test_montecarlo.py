@@ -148,6 +148,18 @@ def test_experiment_validation():
     wide = standardize(np.hstack([np.eye(12), np.eye(12)]))
     with pytest.raises(DomainError, match="capped"):
         check_inf2_reduction(wide, 0.5, 100, seed=0)
+    with pytest.raises(DomainError, match="capped"):
+        check_inf1_reduction(wide, 0.5, 100, seed=0)
+
+
+@pytest.mark.parametrize("delta", [1.5, -0.5, math.nan])
+def test_delta_outside_the_unit_interval_refused(delta):
+    # check_inf2_reduction once took sqrt(2 delta (1 - delta)) first and
+    # crashed with "math domain error".
+    with pytest.raises(DomainError, match="delta"):
+        check_inf2_reduction(DOUBLE_ID, delta, 100, seed=0)
+    with pytest.raises(DomainError, match="delta"):
+        check_inf1_reduction(DOUBLE_ID, delta, 100, seed=0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -233,3 +233,11 @@ def test_report_log_shape():
         assert 0 <= size <= s
         if size:
             assert metric is not None
+
+
+@pytest.mark.parametrize("select", [kt_select, bt_select])
+@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+def test_threshold_must_be_positive(select, threshold):
+    # A NaN threshold was once accepted, and the selection returned column 0.
+    with pytest.raises(DomainError, match="threshold"):
+        select(DOUBLE_ID_8, seed=0, threshold=threshold)
