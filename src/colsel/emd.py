@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_budget, _require_count
 
 
 class SubgradientSample(NamedTuple):
@@ -227,14 +227,12 @@ def emd_minimize(
       about 1e-308, so the point is optimal to within ``2 ||theta||_inf``)
       or ``s == 1``.
 
-    Non-finite objective values raise :class:`DomainError`.
+    A bad budget and non-finite objective values raise :class:`DomainError`.
     """
-    if iterations < 1:
-        raise DomainError("iterations must be at least 1")
+    iterations = _require_budget(iterations)
     if step_mode not in ("fixed-horizon", "adaptive"):
         raise DomainError(f"unknown step mode {step_mode!r}")
-    if s < 1:
-        raise DomainError("simplex dimension must be at least 1")
+    s = _require_count(s, "the simplex dimension", 1)
 
     weights = np.full(s, 1.0 / s)
     logs = math.log(s) if s > 1 else 0.0

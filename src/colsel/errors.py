@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rule for integer settings."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -21,3 +23,28 @@ class ParseError(ValueError):
         self.code = code
         self.line = line
         self.column = column
+
+
+def _require_count(value, name, low):
+    """``value`` as an ``int`` of at least ``low``, else :class:`DomainError`.
+    An integer is what :func:`operator.index` accepts: NumPy ints pass, floats fail."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise DomainError(f"{name} must be at least {low}, got {value!r}")
+    return count
+
+
+def _require_seed(seed):
+    """A seed: an integer in ``[0, 2**64)``."""
+    seed = _require_count(seed, "seed", 0)
+    if seed >= 2**64:
+        raise DomainError(f"seed must be below 2**64, got {seed!r}")
+    return seed
+
+
+def _require_budget(iterations):
+    """A mirror-descent budget: an integer of at least 1."""
+    return _require_count(iterations, "the mirror-descent budget", 1)

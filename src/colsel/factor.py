@@ -1,21 +1,23 @@
 """The factorization core shared by the Pietsch and Grothendieck modules.
 
 Both are one algorithm run on two eigenvalue programs.  A program is an
-objective class built from a matrix ``A`` with ``s`` columns and a level
+:class:`EigenProgram` built from a matrix ``A`` with ``s`` columns and a level
 ``alpha``.  It evaluates ``lambda(f)``, the top eigenvalue of a symmetric
 matrix affine in ``alpha^p f``; ``lambda(f) <= 0`` for weights ``f`` on the
 simplex iff ``A`` factors through ``D = diag(sqrt f)`` with ``||T|| <=
 alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
-the bracket ``constant``, ``pair(f, tol, level)`` (the top eigenpair at any
-level ``alpha^p``), ``certified(f)`` (an upper bound on ``lambda(f)``),
-``start()`` (an upper end for the bisection and the vectors whose signs
-seed the lower bounds), ``improve(x)`` (sign-witness ascent),
-``split(d)``/``join(t, d)`` (``T`` from ``D``, and the input back from both)
-and ``name`` (the input's name in messages).
+the bracket ``constant``, ``level`` (``alpha^p``), ``pairs(f, tol, level)``
+(the top eigenpair of each branch at any level ``alpha^p``: one branch for
+Pietsch, two for Grothendieck), ``start()`` (an upper end for the bisection
+and the vectors whose signs seed the lower bounds), ``improve(x)``
+(sign-witness ascent), ``split(d)``/``join(t, d)`` (``T`` from ``D``, and
+the input back from both) and ``name`` (the input's name in messages).  The
+base class derives ``pair`` (the attaining branch's pair), the evaluation
+``program(f)`` and ``certified(f)`` (an upper bound on ``lambda(f)``).
 
 The public solvers convert their input once and hand it here; the core owns
-the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0``
-whose unit-scale level is at most ``MAX_UNIT_LEVEL``, ``0 < rel_tol < 1``).
+the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
+unit-scale level is at most ``MAX_UNIT_LEVEL``, ``0 < rel_tol < 1``, a budget).
 The zero matrix factors exactly (uniform ``d``, ``T = 0``) with bracket ``[0, 0]``.
 
 :func:`_factorize` minimizes ``lambda`` by mirror descent with an early exit
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .emd import SubgradientSample, emd_minimize
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, _require_budget
 from .linalg import _ldexp, _unit_scaled, frobenius_norm, spectral_norm
 
 # Only exactly-zero weights (mirror-descent underflow) take the
@@ -62,6 +64,23 @@ REL_TOL = 0.05
 # float range; above it, any input that fits in memory is trivially feasible
 # (uniform weights give ||T|| <= s ||A||_F, and ||A||_F^2 < m s at unit scale).
 MAX_UNIT_LEVEL = 2.0**480
+
+
+class EigenProgram:
+    """An eigenvalue program: its value is the largest of its branches' top values."""
+
+    def pair(self, f, tol, level):
+        """The top pair of the attaining branch: the first with the largest value."""
+        return max(self.pairs(f, tol, level), key=lambda top: top.value)
+
+    def __call__(self, f):
+        """The value at ``f`` and the subgradient ``-level u^2`` of its top vector ``u``."""
+        top = self.pair(f, OBJECTIVE_EIG_TOL, self.level)
+        return SubgradientSample(top.value, -self.level * top.vector**2)
+
+    def certified(self, f):
+        """Upper bound on the value at ``f``: the largest branch value plus residual."""
+        return max(p.value + p.residual for p in self.pairs(f, CERTIFICATE_EIG_TOL, self.level))
 
 
 @dataclass
@@ -234,7 +253,8 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
     power = program.power
     a, e, fro = _unit_input(program, a)
     if not 0.0 < rel_tol < 1.0:
-        raise DomainError("rel_tol must lie in (0, 1)")
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
+    emd_budget = _require_budget(emd_budget)
     s = a.shape[1]
     if fro == 0.0:
         d = np.full(s, 1.0 / math.sqrt(s))

@@ -18,11 +18,11 @@ import math
 
 import numpy as np
 
-from .emd import EMD_BUDGET, SubgradientSample
+from .emd import EMD_BUDGET
 from .factor import (
     CERTIFICATE_EIG_TOL,
-    OBJECTIVE_EIG_TOL,
     REL_TOL,
+    EigenProgram,
     Factorization,
     NormBracket,
     _bracket,
@@ -52,7 +52,7 @@ def block_matrix(g, alpha, f):
     return m
 
 
-class GrothObjective:
+class GrothObjective(EigenProgram):
     """Evaluator for the block eigenvalue objective via its two branches.
 
     The subgradient is ``-alpha w^2`` for the top eigenvector ``w`` of the
@@ -70,29 +70,15 @@ class GrothObjective:
         self.g = g
         self.level = alpha
 
-    def branch_pairs(self, f, tol, level):
-        """Top eigenpairs of ``G - level F`` and ``-G - level F``."""
+    def pairs(self, f, tol, level):
+        """Top eigenpairs of ``G - level F`` and ``-G - level F``; a tie goes to ``+G``."""
         shift = np.diag(level * np.asarray(f, dtype=float))
         return [_top_pair(signed - shift, tol) for signed in (self.g, -self.g)]
-
-    def pair(self, f, tol, level):
-        """Top eigenpair of the attaining branch."""
-        pos, neg = self.branch_pairs(f, tol, level)
-        return pos if pos.value >= neg.value else neg
-
-    def __call__(self, f):
-        pair = self.pair(f, OBJECTIVE_EIG_TOL, self.level)
-        return SubgradientSample(pair.value, -self.level * pair.vector**2)
-
-    def certified(self, f):
-        """The larger branch value plus residual: a bound on the objective."""
-        pos, neg = self.branch_pairs(f, CERTIFICATE_EIG_TOL, self.level)
-        return max(pos.value + pos.residual, neg.value + neg.residual)
 
     def start(self):
         """``K_G s max(lambda_max(+-G))`` and both top eigenvectors."""
         s = self.g.shape[0]
-        top, bottom = self.branch_pairs(np.zeros(s), CERTIFICATE_EIG_TOL, 0.0)
+        top, bottom = self.pairs(np.zeros(s), CERTIFICATE_EIG_TOL, 0.0)
         spec = max(top.value, bottom.value)
         return self.constant * s * spec, (top.vector, bottom.vector)
 

@@ -91,8 +91,8 @@ def max_eig_pair(h, tol=1e-10) -> EigPair:
     indicates ``tol`` was tightened past machine precision).
     """
     h = _require_symmetric(h)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+    if not tol > 0:  # written so that a NaN tol is refused too
+        raise DomainError(f"tol must be positive, got {tol!r}")
     if h.shape[0] == 0:
         raise DomainError("matrix must have at least one row")
     return _top_pair(h, tol)
@@ -183,27 +183,38 @@ def standardize(a):
     return a / norms
 
 
-def is_standardized(a):
-    """True when every column 2-norm is within ``STANDARDIZE_ATOL`` of one."""
-    _, e, norms = _column_norms(as_matrix(a))
-    return bool(np.all(np.abs(norms - _ldexp(1.0, -e)) <= _ldexp(STANDARDIZE_ATOL, -e)))
-
-
-def hollow_gram(a):
-    """``A^T A - I`` for a standardized matrix; symmetric with zero diagonal.
-
-    The diagonal is forced exactly to zero; column norms may deviate from
-    one by at most ``STANDARDIZE_ATOL``, otherwise a :class:`DomainError`
-    names the offending column.  The norms are taken at unit scale.
-    """
-    a = as_matrix(a)
+def _require_standardized(a, name="A"):
+    """``a`` as a checked matrix if its column 2-norms, taken at unit scale, are
+    within ``STANDARDIZE_ATOL`` of one; else :class:`DomainError` names the furthest."""
+    a = as_matrix(a, name)
     _, e, norms = _column_norms(a)
     off = np.abs(norms - _ldexp(1.0, -e))
     if off.size and off.max() > _ldexp(STANDARDIZE_ATOL, -e):
         j = int(np.argmax(off))
         raise DomainError(
-            f"column {j} has norm {_ldexp(float(norms[j]), e):.12g}; standardize the input first"
+            f"column {j} has norm {_ldexp(float(norms[j]), e):.12g}; "
+            f"{name} must have unit-norm columns, standardize it first"
         )
+    return a
+
+
+def is_standardized(a):
+    """True when :func:`_require_standardized` accepts ``a``."""
+    a = as_matrix(a)
+    try:
+        _require_standardized(a)
+    except DomainError:
+        return False
+    return True
+
+
+def hollow_gram(a):
+    """``A^T A - I`` for a standardized matrix; symmetric with zero diagonal.
+
+    The diagonal is forced exactly to zero; the input goes through
+    :func:`_require_standardized`.
+    """
+    a = _require_standardized(a)
     h = a.T @ a
     np.fill_diagonal(h, 0.0)
     return h

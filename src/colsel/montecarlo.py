@@ -29,9 +29,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _require_count, _require_seed
 from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
 from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
+from .select import _stream
 
 MIN_TRIALS = 100
 # trials drawn before each batched scoring; bounds the memory of the draws
@@ -59,11 +60,6 @@ class ExperimentResult:
     fitted_constant: Optional[float] = None
 
 
-def _trial_rng(seed, stream, trial):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, trial))
-    return np.random.Generator(np.random.PCG64(ss))
-
-
 def _trial_values(kind, take, model, n, delta, seed, stream, trials):
     """Exact ``kind`` norms of ``take(idx)`` over the trials' draws.
 
@@ -73,7 +69,7 @@ def _trial_values(kind, take, model, n, delta, seed, stream, trials):
     for start in range(0, trials, _TRIAL_CHUNK):
         stop = min(start + _TRIAL_CHUNK, trials)
         mats = [
-            take(sample_projector(model, n, delta, _trial_rng(seed, stream, t)))
+            take(sample_projector(model, n, delta, _stream(seed, stream, t)))
             for t in range(start, stop)
         ]
         values[start:stop] = _batched_norms(mats, kind)
@@ -109,13 +105,11 @@ def _mean_se(values):
     return mean, se
 
 
-def _check_experiment(a, delta, trials):
+def _check_experiment(a, delta, trials, seed):
+    """The checked ``(a, trials, seed)`` of an experiment."""
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
-    a = as_matrix(a, "A")
-    if trials < MIN_TRIALS:
-        raise DomainError(f"need at least {MIN_TRIALS} trials, got {trials}")
-    return a
+    return as_matrix(a, "A"), _require_count(trials, "trials", MIN_TRIALS), _require_seed(seed)
 
 
 def check_inf2_reduction(a, delta, trials, seed=0):
@@ -126,7 +120,7 @@ def check_inf2_reduction(a, delta, trials, seed=0):
     when the standardized small-sample regime holds and twice the
     independent-selector bound otherwise (via Poissonization).
     """
-    a = _check_experiment(a, delta, trials)
+    a, trials, seed = _check_experiment(a, delta, trials, seed)
     n = a.shape[1]
     inf2_full, _ = norm_inf2_exact(a)
     r_bound = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(a) + delta * inf2_full
@@ -188,7 +182,7 @@ def check_inf1_reduction(a, delta, trials, seed=0, *, regime=False):
     (hollow matrices have no diagonal term) and ``fitted_constant`` is the
     ratio of the empirical mean to it.
     """
-    a = _check_experiment(a, delta, trials)
+    a, trials, seed = _check_experiment(a, delta, trials, seed)
     n = a.shape[1]
     h = hollow_gram(a)
     inf1_full, _ = norm_inf1_exact(h)

@@ -6,7 +6,7 @@ with ``||T|| <= alpha`` exists iff ``lambda_max(B^T B - alpha^2 D^2) <= 0``.
 core :mod:`colsel.factor`, whose bracket for the NP-hard ``||B||_{inf->2}``
 is within the constant ``K_P = sqrt(pi/2)`` for the real field.
 
-Every eigenvalue the module needs comes from :meth:`PietschObjective.pair`.
+Every eigenvalue the module needs comes from :meth:`PietschObjective.pairs`.
 Constant weights make the shift ``alpha^2 diag(f)`` a multiple ``c I`` of
 the identity; when ``B`` also has fewer rows than columns, the top pair is
 taken from the small Gram ``B B^T``, which shares the nonzero spectrum of
@@ -18,12 +18,13 @@ import math
 
 import numpy as np
 
-from .emd import EMD_BUDGET, SubgradientSample
+from .emd import EMD_BUDGET
 from .errors import SolverError
-from .factor import (
+from .factor import (  # noqa: F401  OBJECTIVE_EIG_TOL is re-exported
     CERTIFICATE_EIG_TOL,
     OBJECTIVE_EIG_TOL,
     REL_TOL,
+    EigenProgram,
     Factorization,
     NormBracket,
     _bracket,
@@ -37,17 +38,15 @@ PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 PietschFactorization = Factorization
 
 
-class PietschObjective:
-    """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``.
+class PietschObjective(EigenProgram):
+    """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``, one branch.
 
     For constant weights on an ``m x s`` matrix with ``m < s`` the shift is
     ``c I``, ``c = alpha^2 f_0``: the top pair ``(mu, v)`` of the ``m x m``
     Gram ``B B^T`` gives ``lambda = mu - c`` and ``u = B^T v / ||B^T v||``.
     Every other ``f`` uses the ``s x s`` Gram ``B^T B``, formed on first use.
-    The subgradient at ``f`` is ``-alpha^2 |u|^2`` for the returned unit top
-    eigenvector ``u``.  The class is the Pietsch program of
-    :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted; outside input
-    goes through :func:`pietsch_objective`.
+    The class is the Pietsch program of :mod:`colsel.factor`.  ``B`` and
+    ``alpha`` are trusted; outside input goes through :func:`pietsch_objective`.
     """
 
     power = 2
@@ -60,8 +59,8 @@ class PietschObjective:
         self._gram = None
         self._short = None
 
-    def pair(self, f, tol, level):
-        """Top eigenpair of ``B^T B - level diag(f)`` with its residual.
+    def pairs(self, f, tol, level):
+        """The top eigenpair of ``B^T B - level diag(f)`` with its residual.
 
         The residual ``||H u - lambda u||_2`` is measured on the ``s x s``
         problem and held to ``tol * max(1, ||H||_F)`` on either path.
@@ -69,13 +68,13 @@ class PietschObjective:
         f = np.asarray(f, dtype=float)
         m, s = self.b.shape
         if m < s and f.max() == f.min():
-            return self._short_side_pair(level * float(f[0]), tol)
+            return (self._short_side_pair(level * float(f[0]), tol),)
         if self._gram is None:
             self._gram = self.b.T @ self.b
         h = self._gram.copy()
         idx = np.arange(s)
         h[idx, idx] -= level * f
-        return _top_pair(h, tol)
+        return (_top_pair(h, tol),)
 
     def _short_side_pair(self, c, tol):
         b = self.b
@@ -101,15 +100,6 @@ class PietschObjective:
                 f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
             )
         return EigPair(top.value - c, u, resid)
-
-    def __call__(self, f):
-        pair = self.pair(f, OBJECTIVE_EIG_TOL, self.level)
-        return SubgradientSample(pair.value, -self.level * pair.vector**2)
-
-    def certified(self, f):
-        """Upper bound on the objective at ``f``: value plus residual."""
-        top = self.pair(f, CERTIFICATE_EIG_TOL, self.level)
-        return top.value + top.residual
 
     def start(self):
         """``K_P sqrt(s) ||B||`` and the top eigenvector of ``B^T B``."""

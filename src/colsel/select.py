@@ -23,13 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emd import EMD_BUDGET
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, _require_seed
 from .grothendieck import groth_factorize
 from .linalg import (
+    _require_standardized,
     as_matrix,
     condition_number,
     hollow_gram,
-    is_standardized,
     spectral_norm,
 )
 from .pietsch import PIETSCH_CONSTANT, pietsch_factorize
@@ -59,8 +59,9 @@ def random_subset(n, s, rng):
     return np.sort(idx.astype(np.int64))
 
 
-def _attempt_rng(seed, round_index, attempt_index):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(round_index, attempt_index))
+def _stream(seed, *spawn_key):
+    """The generator of stream ``spawn_key`` under a checked ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -118,9 +119,11 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
     """Accepts a candidate whose re-measured ``metric`` is at most ``limit``."""
     if not limit > 0:  # written so that a NaN threshold is refused too
         raise DomainError("threshold must be positive")
+    seed = _require_seed(seed)
     a = _require_standardized(a)
-    seed = int(seed)
     n = a.shape[1]
+    if n == 0:
+        raise DomainError("A must have at least one column")
     tau_star = np.array([0], dtype=np.int64)
     best_metric = metric(a[:, tau_star])
     log = []
@@ -129,7 +132,7 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
     for round_index, s in enumerate(_size_schedule(n)):
         tries = max(1, math.ceil(8.0 * math.log2(s))) if s > 1 else 1
         for k in range(1, tries + 1):
-            rng = _attempt_rng(seed, round_index, k)
+            rng = _stream(seed, round_index, k)
             candidate = reduce_step(a, s, rng, emd_iterations)
             attempts += 1
             if candidate is None:
@@ -151,17 +154,6 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
         per_round_log=log,
         seed=seed,
     )
-
-
-def _require_standardized(a):
-    a = as_matrix(a, "A")
-    if a.shape[1] == 0:
-        raise DomainError("A must have at least one column")
-    if not is_standardized(a):
-        raise DomainError(
-            "A must have unit-norm columns; standardize it first"
-        )
-    return a
 
 
 def kt_select(

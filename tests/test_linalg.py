@@ -33,6 +33,15 @@ def test_frobenius_rejects_nonfinite():
         frobenius_norm(np.array([[1.0, np.nan]]))
 
 
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
+def test_eigen_tolerance_must_be_positive(tol):
+    # A NaN tol once passed the check ``tol <= 0`` and was used as is.
+    with pytest.raises(DomainError, match="tol must be positive"):
+        max_eig_pair(np.eye(2), tol=tol)
+    with pytest.raises(DomainError, match="tol must be positive"):
+        spectral_norm(np.eye(2), tol=tol)
+
+
 def test_spectral_norm_basics():
     assert spectral_norm(np.eye(2)) == pytest.approx(1.0)
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)

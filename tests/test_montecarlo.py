@@ -17,7 +17,8 @@ from colsel import (
     standardize,
 )
 from colsel.exact import _batched_norms
-from colsel.montecarlo import _mean_se, _trial_rng
+from colsel.montecarlo import _mean_se
+from colsel.select import _stream
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
 
@@ -201,7 +202,7 @@ def test_experiments_equal_per_trial_oracles():
         (i_res, 2, "P", lambda idx: norm_inf1_exact(h[np.ix_(idx, idx)])[0]),
     ):
         values = [
-            value(sample_projector(model, 16, 0.8, _trial_rng(3, stream, t)))
+            value(sample_projector(model, 16, 0.8, _stream(3, stream, t)))
             for t in range(100)
         ]
         assert (res.empirical_mean, res.std_error) == _mean_se(values)

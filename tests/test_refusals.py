@@ -1,0 +1,147 @@
+"""Every integer setting, tolerance and standardization rule has one owner in
+the library, and the CLI repeats none of them.
+
+Each row of ``REFUSALS`` is a library call that must raise
+:class:`DomainError` and, where a flag carries the value, the same input
+through the CLI, which must exit 3 with the library's message and no
+traceback.  Float seeds, budgets and trials have no CLI row: argparse
+refuses them as usage errors (exit 2) before the library sees them.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from colsel import (
+    DomainError,
+    bt_select,
+    check_inf1_reduction,
+    check_inf2_reduction,
+    cli,
+    groth_factorize,
+    groth_optimal_alpha,
+    hollow_gram,
+    kt_select,
+    pietsch_factorize,
+    pietsch_optimal_alpha,
+    standardize,
+)
+
+EYE = np.eye(4)  # standardized and symmetric: every program accepts it
+ZERO = np.zeros((3, 3))
+NONSTD = np.diag([1.0, 3.0, 1.0])  # column 1 is furthest from unit norm
+DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
+
+FILES = {"eye": EYE, "zero": ZERO, "nonstd": NONSTD, "dblid": DOUBLE_ID}
+
+
+def row(name, call, argv=None, match=None):
+    return pytest.param(call, argv, match, id=name)
+
+
+def _selection_rows():
+    for select, command in ((kt_select, "kt"), (bt_select, "bt")):
+        for seed in (-3, 2**64):
+            yield row(f"{command}-seed-{seed}",
+                      lambda select=select, seed=seed: select(EYE, seed=seed),
+                      [command, "--seed", str(seed), "eye"], "seed")
+        yield row(f"{command}-seed-2.9", lambda select=select: select(EYE, seed=2.9),
+                  match="seed must be an integer")
+
+
+def _experiment_rows():
+    for check, kind in ((check_inf2_reduction, "inf2"), (check_inf1_reduction, "inf1")):
+        argv = ["experiment", "--kind", kind, "--delta", "0.5", "--trials", "100"]
+        yield row(f"{kind}-seed--1", lambda check=check: check(DOUBLE_ID, 0.5, 100, seed=-1),
+                  argv + ["--seed", "-1", "dblid"], "seed")
+        yield row(f"{kind}-seed-1.5", lambda check=check: check(DOUBLE_ID, 0.5, 100, seed=1.5),
+                  match="seed must be an integer")
+        yield row(f"{kind}-trials-150.5",
+                  lambda check=check: check(DOUBLE_ID, 0.5, 150.5, seed=0),
+                  match="trials must be an integer")
+
+
+def _budget_rows():
+    for optimal_alpha, kind in ((pietsch_optimal_alpha, "inf2"), (groth_optimal_alpha, "inf1")):
+        # The zero matrix takes the bracket's shortcut and runs no solve.
+        yield row(f"norm-{kind}-budget-0-zero",
+                  lambda optimal_alpha=optimal_alpha: optimal_alpha(ZERO, emd_budget=0),
+                  ["norm", "--kind", kind, "--iters", "0", "zero"], "budget")
+        yield row(f"norm-{kind}-rel-tol-0",
+                  lambda optimal_alpha=optimal_alpha: optimal_alpha(EYE, rel_tol=0.0),
+                  ["norm", "--kind", kind, "--rel-tol", "0", "eye"], "rel_tol")
+        for budget in (2.5, math.nan):
+            yield row(f"norm-{kind}-budget-{budget}",
+                      lambda optimal_alpha=optimal_alpha, budget=budget:
+                      optimal_alpha(EYE, emd_budget=budget),
+                      match="budget must be an integer")
+    for factorize in (pietsch_factorize, groth_factorize):
+        for budget in (2.5, math.nan):
+            yield row(f"{factorize.__name__}-budget-{budget}",
+                      lambda factorize=factorize, budget=budget: factorize(EYE, 1.0, budget),
+                      match="budget must be an integer")
+
+
+def _standardization_rows():
+    yield row("hollow-gram-nonstandardized", lambda: hollow_gram(NONSTD),
+              match="column 1 has norm 3; A must have unit-norm columns")
+    yield row("kt-nonstandardized", lambda: kt_select(NONSTD), ["kt", "nonstd"],
+              "column 1 has norm 3; A must have unit-norm columns")
+
+
+REFUSALS = [*_selection_rows(), *_experiment_rows(), *_budget_rows(), *_standardization_rows()]
+
+
+@pytest.fixture
+def csv_dir(tmp_path):
+    for name, a in FILES.items():
+        (tmp_path / name).write_text(
+            "\n".join(",".join(repr(float(v)) for v in r) for r in a) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("call, argv, match", REFUSALS)
+def test_refusal(capsys, csv_dir, call, argv, match):
+    with pytest.raises(DomainError, match=match) as refused:
+        call()
+    if argv is None:
+        return
+    argv = argv[:-1] + [str(csv_dir / argv[-1])]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+def test_numpy_integer_settings_give_the_same_reports():
+    # Control: operator.index accepts NumPy integers, and they act as ints.
+    for select in (kt_select, bt_select):
+        plain, numpy = select(DOUBLE_ID, seed=5), select(DOUBLE_ID, seed=np.int64(5))
+        assert type(numpy.seed) is int
+        assert np.array_equal(plain.tau, numpy.tau)
+        assert (plain.attempts, plain.per_round_log) == (numpy.attempts, numpy.per_round_log)
+    assert (check_inf2_reduction(DOUBLE_ID, 0.5, 100, seed=3)
+            == check_inf2_reduction(DOUBLE_ID, 0.5, np.int64(100), seed=np.uint64(3)))
+    assert (check_inf1_reduction(DOUBLE_ID, 0.25, 100, seed=3)
+            == check_inf1_reduction(DOUBLE_ID, 0.25, np.int32(100), seed=np.int64(3)))
+    plain = pietsch_optimal_alpha(DOUBLE_ID, emd_budget=50)
+    numpy = pietsch_optimal_alpha(DOUBLE_ID, emd_budget=np.int64(50))
+    assert (plain.alpha_lo, plain.alpha_hi, plain.probes) == (numpy.alpha_lo, numpy.alpha_hi,
+                                                                numpy.probes)
+
+
+def test_experiment_seed_is_refused_before_the_full_matrix_oracle(monkeypatch):
+    from colsel import montecarlo
+
+    def oracle(*args):
+        raise AssertionError("the oracle ran before the seed was checked")
+
+    monkeypatch.setattr(montecarlo, "norm_inf2_exact", oracle)
+    monkeypatch.setattr(montecarlo, "norm_inf1_exact", oracle)
+    for check in (check_inf2_reduction, check_inf1_reduction):
+        with pytest.raises(DomainError, match="seed"):
+            check(DOUBLE_ID, 0.5, 100, seed=-1)
+        with pytest.raises(DomainError, match="trials"):
+            check(DOUBLE_ID, 0.5, 150.5, seed=0)

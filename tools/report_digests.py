@@ -1,0 +1,69 @@
+"""Print the SHA-256 of every seeded benchmark report, one line per job.
+
+Usage (from any directory, no options)::
+
+    python3 tools/report_digests.py > digests.txt
+
+For each workload of ``perfbench/workloads.py`` and each seed 1-10 and the
+holdout 90017, the tool writes the workload's matrices to a temporary
+directory and runs every job in-process through ``colsel.cli.main`` from
+this checkout's ``src``.  Each line reads ``workload/seed/job sha256``, where
+``job`` is the job's index in the workload's list: 451 lines in all.  Two
+checkouts print the same lines exactly when every report, ``config``
+included, is byte-identical, so comparing a change with its parent is a
+``diff`` of two outputs.  Digests are not committed: BLAS builds differ in
+the last bits.  The exit status is 1 if any job exits nonzero.
+"""
+
+import os
+
+# Pin every BLAS pool to one thread before numpy is imported, as the
+# benchmark does: the thread count can change the last bits of a report.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.dont_write_bytecode = True  # read perfbench/ without writing into it
+
+import workloads  # noqa: E402
+
+from colsel import cli  # noqa: E402
+
+SEEDS = (*range(1, 11), 90017)
+
+
+def main():
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in workloads.WORKLOADS:
+            for seed in SEEDS:
+                workload = workloads.build(name, seed)
+                directory = Path(tmp) / f"{name}-{seed}"
+                directory.mkdir()
+                for matrix_name, matrix in workload.matrices.items():
+                    workloads.write_csv(directory / matrix_name, matrix)
+                for index, job in enumerate(workload.jobs):
+                    argv = job.argv[:-1] + [str(directory / job.argv[-1])]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        code = cli.main(argv)
+                    if code != 0:
+                        failed += 1
+                        print(f"{name}/{seed}/{index}: exit {code}: {err.getvalue().strip()}",
+                              file=sys.stderr)
+                    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+                    print(f"{name}/{seed}/{index} {digest}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
