@@ -13,7 +13,10 @@ and the vectors whose signs seed the lower bounds), ``improve(x)``
 (sign-witness ascent), ``split(d)``/``join(t, d)`` (``T`` from ``D``, and
 the input back from both) and ``name`` (the input's name in messages).  The
 base class derives ``pair`` (the attaining branch's pair), the evaluation
-``program(f)`` and ``certified(f)`` (an upper bound on ``lambda(f)``).
+``program(f)`` and ``certified(f)`` (an upper bound on ``lambda(f)``).  All
+three solve through one memo of the program's last point, so a certificate
+asked for at the point just evaluated makes no eigensolve (see
+:class:`EigenProgram`).
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -67,11 +70,31 @@ MAX_UNIT_LEVEL = 2.0**480
 
 
 class EigenProgram:
-    """An eigenvalue program: its value is the largest of its branches' top values."""
+    """An eigenvalue program: its value is the largest of its branches' top values.
+
+    A program keeps the branch pairs of the last point it solved, keyed by
+    the exact bytes of ``f`` and by ``level``.  ``pair``, the evaluation and
+    ``certified`` reuse them when the same key comes again and every stored
+    residual is at most the ``tol`` asked for; that implies the kernel's own
+    test ``residual <= tol max(1, ||H||_F)``, and a fresh solve of the same
+    matrix gives the same bits, so reuse changes no value.  Otherwise the
+    branches are solved afresh, with their ``SolverError``.
+    """
+
+    _last = None  # ((f bytes, level), branch pairs) of the last solve
+
+    def _solved(self, f, tol, level):
+        key = (np.asarray(f, dtype=float).tobytes(), level)
+        last = self._last
+        if last is not None and last[0] == key and all(p.residual <= tol for p in last[1]):
+            return last[1]
+        pairs = self.pairs(f, tol, level)
+        self._last = (key, pairs)
+        return pairs
 
     def pair(self, f, tol, level):
         """The top pair of the attaining branch: the first with the largest value."""
-        return max(self.pairs(f, tol, level), key=lambda top: top.value)
+        return max(self._solved(f, tol, level), key=lambda top: top.value)
 
     def __call__(self, f):
         """The value at ``f`` and the subgradient ``-level u^2`` of its top vector ``u``."""
@@ -80,7 +103,8 @@ class EigenProgram:
 
     def certified(self, f):
         """Upper bound on the value at ``f``: the largest branch value plus residual."""
-        return max(p.value + p.residual for p in self.pairs(f, CERTIFICATE_EIG_TOL, self.level))
+        pairs = self._solved(f, CERTIFICATE_EIG_TOL, self.level)
+        return max(p.value + p.residual for p in pairs)
 
 
 @dataclass
@@ -136,6 +160,19 @@ def _canonical_sign(x):
     """``x`` or ``-x``, whichever has first entry ``+1``; both attain the
     same sign-vector norms, and the exact oracles pin the same entry."""
     return x if x[0] > 0 else -x
+
+
+def _start_signs(x, s, name):
+    """The sign vector of a start ``x`` for an ascent over the ``s`` columns
+    of ``name``: ``+1`` where ``x >= 0`` (zeros included), ``-1`` elsewhere."""
+    if s == 0:
+        raise DomainError(f"{name} must have at least one column")
+    x = np.asarray(x, dtype=float)
+    if x.shape != (s,):
+        raise DomainError(f"x must have {s} entries, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("x must have finite entries")
+    return np.where(x >= 0, 1.0, -1.0)
 
 
 def _unit_input(program, a):

@@ -28,6 +28,7 @@ from .factor import (
     _bracket,
     _evaluate,
     _factorize,
+    _start_signs,
 )
 from .linalg import _require_symmetric, _top_pair, as_matrix
 
@@ -117,17 +118,31 @@ def groth_factorize(g, alpha, emd_budget=EMD_BUDGET) -> GrothendieckFactorizatio
 
 
 def improve_sign_witness_inf1(g, x):
-    """Greedy single-flip ascent of ``||G x||_1`` over sign vectors."""
+    """Greedy single-flip ascent of ``||G x||_1`` over sign vectors.
+
+    ``G`` needs a column and ``x`` one finite entry per column; the signs
+    of ``x`` start the ascent (zeros count as ``+1``).  Each step scores
+    every single flip against the flip table ``step = 2 G diag(x)``, built
+    once: flipping ``x_j`` turns ``y = G x`` into ``y - step[:, j]`` and
+    negates that column.  The scores are computed in one scratch buffer,
+    with the same floating-point operations in the same order as forming
+    ``|y - 2 g_j x_j|`` afresh (doubling and signs are exact), so the
+    flips and the result are the same bits.
+    """
     g = as_matrix(g, "G")
-    x = np.where(np.asarray(x, dtype=float) >= 0, 1.0, -1.0)
+    x = _start_signs(x, g.shape[1], "G")
     y = g @ x
     current = float(np.abs(y).sum())
-    for _ in range(4 * max(1, g.shape[1])):
-        flipped = np.abs(y[:, None] - 2.0 * g * x[None, :]).sum(axis=0)
+    step = 2.0 * g * x[None, :]
+    buf = np.empty_like(step)
+    for _ in range(4 * g.shape[1]):
+        np.subtract(y[:, None], step, out=buf)
+        flipped = np.abs(buf, out=buf).sum(axis=0)
         j = int(np.argmax(flipped))
         if flipped[j] <= current * (1.0 + 1e-12):
             break
-        y = y - 2.0 * x[j] * g[:, j]
+        y = y - step[:, j]
+        step[:, j] = -step[:, j]
         x[j] = -x[j]
         current = float(np.abs(y).sum())
     y = g @ x

@@ -76,10 +76,14 @@ def _trial_values(kind, take, model, n, delta, seed, stream, trials):
     return values
 
 
-def sample_projector(model, n, delta, rng):
-    """Sorted indices kept by one draw of the coordinate projector."""
+def _require_delta(delta):
     if not 0.0 <= delta <= 1.0:
         raise DomainError("delta must lie in [0, 1]")
+
+
+def sample_projector(model, n, delta, rng):
+    """Sorted indices kept by one draw of the coordinate projector."""
+    _require_delta(delta)
     if model == "P":
         s = int(math.floor(delta * n))
         if s == 0:
@@ -107,8 +111,7 @@ def _mean_se(values):
 
 def _check_experiment(a, delta, trials, seed):
     """The checked ``(a, trials, seed)`` of an experiment."""
-    if not 0.0 <= delta <= 1.0:
-        raise DomainError("delta must lie in [0, 1]")
+    _require_delta(delta)
     return as_matrix(a, "A"), _require_count(trials, "trials", MIN_TRIALS), _require_seed(seed)
 
 

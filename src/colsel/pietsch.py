@@ -30,6 +30,7 @@ from .factor import (  # noqa: F401  OBJECTIVE_EIG_TOL is re-exported
     _bracket,
     _evaluate,
     _factorize,
+    _start_signs,
 )
 from .linalg import EigPair, _top_pair, as_matrix
 
@@ -145,12 +146,16 @@ def pietsch_factorize(b, alpha, emd_budget=EMD_BUDGET) -> PietschFactorization:
 
 
 def improve_sign_witness_inf2(b, x):
-    """Greedy single-flip ascent of ``||B x||_2`` over sign vectors."""
+    """Greedy single-flip ascent of ``||B x||_2`` over sign vectors.
+
+    ``B`` needs a column and ``x`` one finite entry per column; the signs
+    of ``x`` start the ascent (zeros count as ``+1``).
+    """
     b = as_matrix(b, "B")
-    x = np.where(np.asarray(x, dtype=float) >= 0, 1.0, -1.0)
+    x = _start_signs(x, b.shape[1], "B")
     col_sq = np.sum(b * b, axis=0)
     y = b @ x
-    for _ in range(4 * max(1, b.shape[1])):
+    for _ in range(4 * b.shape[1]):
         gains = 4.0 * (col_sq - x * (b.T @ y))
         j = int(np.argmax(gains))
         if gains[j] <= 1e-12 * max(1.0, float(y @ y)):

@@ -3,7 +3,9 @@
 Deliberately different algorithms from the library: a cyclic Jacobi
 eigensolver (vs LAPACK), itertools sign enumeration (vs a doubled sign
 table split between low and high columns), and a dense simplex grid (vs
-mirror descent).
+mirror descent).  The one exception is :func:`flip_ascent_inf1`, the
+(inf->1) sign-witness ascent as first written (every flip score formed
+afresh), which the library's flip-table form must match bit for bit.
 """
 
 import itertools
@@ -103,3 +105,22 @@ def simplex_grid(dim, steps):
         parts.append(steps + dim - 2 - prev)
         points.append(parts)
     return np.array(points, dtype=float) / steps
+
+
+def flip_ascent_inf1(g, x):
+    """Greedy single-flip ascent of ``||G x||_1``, each step scoring every
+    flip by forming ``|y - 2 g_j x_j|`` afresh."""
+    g = np.asarray(g, dtype=float)
+    x = np.where(np.asarray(x, dtype=float) >= 0, 1.0, -1.0)
+    y = g @ x
+    current = float(np.abs(y).sum())
+    for _ in range(4 * max(1, g.shape[1])):
+        flipped = np.abs(y[:, None] - 2.0 * g * x[None, :]).sum(axis=0)
+        j = int(np.argmax(flipped))
+        if flipped[j] <= current * (1.0 + 1e-12):
+            break
+        y = y - 2.0 * x[j] * g[:, j]
+        x[j] = -x[j]
+        current = float(np.abs(y).sum())
+    y = g @ x
+    return float(np.abs(y).sum()), x

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colsel import (
     DomainError,
@@ -20,7 +22,8 @@ from colsel import (
     standardize,
 )
 
-from oracles import jacobi_max_eigenvalue
+from colsel.grothendieck import improve_sign_witness_inf1
+from oracles import flip_ascent_inf1, jacobi_max_eigenvalue
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -216,3 +219,35 @@ def test_optimal_alpha_zero_matrix(factorize, optimal_alpha, shape):
     assert bracket.probes == 0
     assert np.array_equal(bracket.best.t, np.zeros(shape))
     assert np.array_equal(bracket.lower_witness, np.ones(3))
+
+
+def _ascent_input(kind, s, rng):
+    if kind == "gaussian":
+        return hollow_gram(standardize(rng.standard_normal((max(2, s // 2), s))))
+    if kind == "integer":
+        g = np.triu(rng.integers(-3, 4, size=(s, s)).astype(float), 1)
+        return g + g.T
+    if kind == "doubled-identity":  # entries 0 and 1: every flip score ties exactly
+        k = max(1, s // 2)
+        return hollow_gram(standardize(np.hstack([np.eye(k), np.eye(k)])))
+    return rng.standard_normal((int(rng.integers(1, 2 * s + 1)), s))  # "rectangular"
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    s=st.integers(1, 64),
+    kind=st.sampled_from(["gaussian", "integer", "doubled-identity", "rectangular"]),
+    exponent=st.sampled_from([0, -600, 600]),
+    start=st.sampled_from(["zeros", "ones", "random"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flip_table_ascent_matches_fresh_scores_bit_for_bit(s, kind, exponent, start, seed):
+    rng = np.random.default_rng(seed)
+    g = np.ldexp(_ascent_input(kind, s, rng), exponent)
+    s = g.shape[1]
+    x0 = {"zeros": np.zeros(s), "ones": np.ones(s),
+          "random": rng.choice([-1.0, 1.0], size=s)}[start]
+    value, x = improve_sign_witness_inf1(g, x0)
+    ref_value, ref_x = flip_ascent_inf1(g, x0)
+    assert value == ref_value
+    assert np.array_equal(x, ref_x)

@@ -1,5 +1,5 @@
-"""Every integer setting, tolerance and standardization rule has one owner in
-the library, and the CLI repeats none of them.
+"""Every integer setting, tolerance, standardization and ascent-start rule
+has one owner in the library, and the CLI repeats none of them.
 
 Each row of ``REFUSALS`` is a library call that must raise
 :class:`DomainError` and, where a flag carries the value, the same input
@@ -27,11 +27,15 @@ from colsel import (
     pietsch_optimal_alpha,
     standardize,
 )
+from colsel.grothendieck import improve_sign_witness_inf1
+from colsel.pietsch import improve_sign_witness_inf2
 
 EYE = np.eye(4)  # standardized and symmetric: every program accepts it
 ZERO = np.zeros((3, 3))
 NONSTD = np.diag([1.0, 3.0, 1.0])  # column 1 is furthest from unit norm
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 FILES = {"eye": EYE, "zero": ZERO, "nonstd": NONSTD, "dblid": DOUBLE_ID}
 
@@ -90,7 +94,21 @@ def _standardization_rows():
               "column 1 has norm 3; A must have unit-norm columns")
 
 
-REFUSALS = [*_selection_rows(), *_experiment_rows(), *_budget_rows(), *_standardization_rows()]
+def _ascent_rows():
+    for improve in (improve_sign_witness_inf1, improve_sign_witness_inf2):
+        name = improve.__name__
+        for bad in (math.nan, math.inf):
+            yield row(f"{name}-start-{bad}", lambda improve=improve, bad=bad:
+                      improve(SWAP, [bad, 1.0]), match="x must have finite entries")
+        for start in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+            yield row(f"{name}-start-{np.shape(start)}", lambda improve=improve, start=start:
+                      improve(SWAP, start), match="x must have 2 entries")
+        yield row(f"{name}-no-columns", lambda improve=improve: improve(np.zeros((3, 0)), []),
+                  match="must have at least one column")
+
+
+REFUSALS = [*_selection_rows(), *_experiment_rows(), *_budget_rows(), *_standardization_rows(),
+            *_ascent_rows()]
 
 
 @pytest.fixture
@@ -145,3 +163,11 @@ def test_experiment_seed_is_refused_before_the_full_matrix_oracle(monkeypatch):
             check(DOUBLE_ID, 0.5, 100, seed=-1)
         with pytest.raises(DomainError, match="trials"):
             check(DOUBLE_ID, 0.5, 150.5, seed=0)
+
+
+def test_ascent_starts_read_zeros_as_plus_one():
+    # Control: a zero entry starts at +1, as it did before starts were checked.
+    for improve in (improve_sign_witness_inf1, improve_sign_witness_inf2):
+        value, x = improve(SWAP, [0.0, -0.0])
+        assert x.tolist() == [1.0, 1.0]
+        assert value == improve(SWAP, [1.0, 1.0])[0]
