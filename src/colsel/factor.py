@@ -2,21 +2,19 @@
 
 Both are one algorithm run on two eigenvalue programs.  A program is an
 :class:`EigenProgram` built from a matrix ``A`` with ``s`` columns and a level
-``alpha``.  It evaluates ``lambda(f)``, the top eigenvalue of a symmetric
+``alpha``: one eigenproblem, ``lambda(f)``, the top eigenvalue of a symmetric
 matrix affine in ``alpha^p f``; ``lambda(f) <= 0`` for weights ``f`` on the
 simplex iff ``A`` factors through ``D = diag(sqrt f)`` with ``||T|| <=
 alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
-the bracket ``constant``, ``level`` (``alpha^p``), ``pairs(f, tol, level)``
-(the top eigenpair of each branch at any level ``alpha^p``: one branch for
-Pietsch, two for Grothendieck), ``start()`` (an upper end for the bisection
-and the vectors whose signs seed the lower bounds), ``improve(x)``
-(sign-witness ascent), ``split(d)``/``join(t, d)`` (``T`` from ``D``, and
-the input back from both) and ``name`` (the input's name in messages).  The
-base class derives ``pair`` (the attaining branch's pair), the evaluation
-``program(f)`` and ``certified(f)`` (an upper bound on ``lambda(f)``).  All
-three solve through one memo of the program's last point, so a certificate
-asked for at the point just evaluated makes no eigensolve (see
-:class:`EigenProgram`).
+the bracket ``constant``, ``name`` (the input's name in messages), ``level``
+(``alpha^p``), ``pairs(f)`` (the top eigenpair of each branch at ``level``,
+solved to ``EIG_TOL``: one branch for Pietsch, two for Grothendieck),
+``improve(x)`` (sign-witness ascent) and ``split(d)``/``join(t, d)`` (``T``
+from ``D``, and the input back from both).  The base class derives ``pair``
+(the attaining branch's pair), the evaluation ``program(f)`` and
+``certified(f)`` (an upper bound on ``lambda(f)``).  All three solve through
+one memo of the program's last point, so a certificate asked for at the
+point just evaluated makes no eigensolve (see :class:`EigenProgram`).
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -53,12 +51,11 @@ ZERO_COLUMN_GATE = 1e-6
 RECONSTRUCTION_RTOL = 1e-8
 NORM_SLACK = 1e-8
 
-# Residual bounds accepted from the dense eigensolver: subgradient
-# evaluations one order looser than the certificate.  A dense ``eigh`` is
-# accurate to rounding either way; these values only bound the accepted
-# residual, they do not set the accuracy.
-OBJECTIVE_EIG_TOL = 1e-11
-CERTIFICATE_EIG_TOL = 1e-12
+# Residual bound accepted from the dense eigensolver, relative to
+# ``max(1, ||H||_F)``, for evaluations and certificates alike.  A dense
+# ``eigh`` is accurate to rounding; this only bounds the accepted residual,
+# it does not set the accuracy.
+EIG_TOL = 1e-12
 
 # Default relative tolerance of the bracket bisection.
 REL_TOL = 0.05
@@ -70,41 +67,41 @@ MAX_UNIT_LEVEL = 2.0**480
 
 
 class EigenProgram:
-    """An eigenvalue program: its value is the largest of its branches' top values.
+    """An eigenvalue program at one level: its value is the largest of its
+    branches' top values.
 
     A program keeps the branch pairs of the last point it solved, keyed by
-    the exact bytes of ``f`` and by ``level``.  ``pair``, the evaluation and
-    ``certified`` reuse them when the same key comes again and every stored
-    residual is at most the ``tol`` asked for; that implies the kernel's own
-    test ``residual <= tol max(1, ||H||_F)``, and a fresh solve of the same
-    matrix gives the same bits, so reuse changes no value.  Otherwise the
-    branches are solved afresh, with their ``SolverError``.
+    the exact bytes of ``f``.  ``pair``, the evaluation and ``certified``
+    reuse them when the same point comes again: every pair passed the
+    kernel's test ``residual <= EIG_TOL max(1, ||H||_F)`` when it was
+    solved, and a fresh solve of the same matrix gives the same bits, so
+    reuse changes no value.  Otherwise the branches are solved afresh, with
+    their ``SolverError``.
     """
 
-    _last = None  # ((f bytes, level), branch pairs) of the last solve
+    _last = None  # (f bytes, branch pairs) of the last solve
 
-    def _solved(self, f, tol, level):
-        key = (np.asarray(f, dtype=float).tobytes(), level)
+    def _solved(self, f):
+        key = np.asarray(f, dtype=float).tobytes()
         last = self._last
-        if last is not None and last[0] == key and all(p.residual <= tol for p in last[1]):
+        if last is not None and last[0] == key:
             return last[1]
-        pairs = self.pairs(f, tol, level)
+        pairs = self.pairs(f)
         self._last = (key, pairs)
         return pairs
 
-    def pair(self, f, tol, level):
+    def pair(self, f):
         """The top pair of the attaining branch: the first with the largest value."""
-        return max(self._solved(f, tol, level), key=lambda top: top.value)
+        return max(self._solved(f), key=lambda top: top.value)
 
     def __call__(self, f):
         """The value at ``f`` and the subgradient ``-level u^2`` of its top vector ``u``."""
-        top = self.pair(f, OBJECTIVE_EIG_TOL, self.level)
+        top = self.pair(f)
         return SubgradientSample(top.value, -self.level * top.vector**2)
 
     def certified(self, f):
         """Upper bound on the value at ``f``: the largest branch value plus residual."""
-        pairs = self._solved(f, CERTIFICATE_EIG_TOL, self.level)
-        return max(p.value + p.residual for p in pairs)
+        return max(p.value + p.residual for p in self._solved(f))
 
 
 @dataclass
@@ -252,7 +249,7 @@ def _build(objective, a, fro, f, alpha, eta):
         weights = f.copy()
         alpha_eff = alpha
     else:
-        level = alpha**objective.power
+        level = objective.level
         weights = (level * f + eta) / (level + eta * s)
         alpha_eff = level + eta * s
         if objective.power == 2:
@@ -277,7 +274,7 @@ def _build(objective, a, fro, f, alpha, eta):
             f"reconstruction residual {recon:.3g} exceeds tolerance; "
             "zero weights do not match zero columns"
         )
-    t_norm = spectral_norm(t, CERTIFICATE_EIG_TOL)
+    t_norm = spectral_norm(t, EIG_TOL)
     return Factorization(d, t, alpha_eff, float(eta), recon, t_norm)
 
 
@@ -297,12 +294,18 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
         d = np.full(s, 1.0 / math.sqrt(s))
         zero = Factorization(d, np.zeros_like(a), 0.0, 0.0, 0.0, 0.0)
         return NormBracket(0.0, 0.0, zero, np.ones(s), True, 0)
+    # At level 0 every weight gives the unshifted spectrum.  Its top value
+    # bounds the norm above (``K_P sqrt(s) ||B||``, ``K_G s ||G||``), and the
+    # top vector of each branch seeds a lower bound.
     objective = program(a, 0.0)
-    hi_seed, seeds = objective.start()
+    tops = objective.pairs(np.ones(s))
+    root = math.sqrt if power == 2 else (lambda x: x)
+    top = max(*(p.value for p in tops), 0.0)
+    hi_seed = program.constant * root(s) * root(top)
 
     lo, witness = objective.improve(np.ones(s))
-    for seed in seeds:
-        cand, cand_x = objective.improve(np.sign(seed))
+    for branch in tops:
+        cand, cand_x = objective.improve(np.sign(branch.vector))
         if cand > lo:
             lo, witness = cand, cand_x
 
@@ -330,7 +333,7 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
         if upper < alpha_hi:
             alpha_hi = upper
             best = fact
-        pair = objective.pair(fact.d**2, OBJECTIVE_EIG_TOL, mid**power)
+        pair = program(a, mid).pair(fact.d**2)
         cand, cand_x = objective.improve(np.sign(pair.vector))
         if cand > lo:
             lo, witness = cand, cand_x

@@ -20,7 +20,7 @@ import numpy as np
 
 from .emd import EMD_BUDGET
 from .factor import (
-    CERTIFICATE_EIG_TOL,
+    EIG_TOL,
     REL_TOL,
     EigenProgram,
     Factorization,
@@ -71,17 +71,10 @@ class GrothObjective(EigenProgram):
         self.g = g
         self.level = alpha
 
-    def pairs(self, f, tol, level):
+    def pairs(self, f):
         """Top eigenpairs of ``G - level F`` and ``-G - level F``; a tie goes to ``+G``."""
-        shift = np.diag(level * np.asarray(f, dtype=float))
-        return [_top_pair(signed - shift, tol) for signed in (self.g, -self.g)]
-
-    def start(self):
-        """``K_G s max(lambda_max(+-G))`` and both top eigenvectors."""
-        s = self.g.shape[0]
-        top, bottom = self.pairs(np.zeros(s), CERTIFICATE_EIG_TOL, 0.0)
-        spec = max(top.value, bottom.value)
-        return self.constant * s * spec, (top.vector, bottom.vector)
+        shift = np.diag(self.level * np.asarray(f, dtype=float))
+        return [_top_pair(signed - shift, EIG_TOL) for signed in (self.g, -self.g)]
 
     def improve(self, x):
         return improve_sign_witness_inf1(self.g, x)

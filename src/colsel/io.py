@@ -1,8 +1,10 @@
 """Matrix file loading and deterministic JSON reporting.
 
-Supported inputs: plain CSV (one row per line, comma-separated decimals) and
-the Matrix Market subset ``array real general`` / ``coordinate real
-general|symmetric``.  Dense matrices only, refused above ``MAX_ENTRIES``
+Supported inputs: plain CSV (one row per line, comma-separated decimals;
+blank lines are skipped) and the Matrix Market subset ``array real general``
+/ ``coordinate real general|symmetric``.  Both read one number grammar, the
+one ``np.loadtxt`` reads: Python's float syntax in ASCII, without
+underscores.  Dense matrices only, refused above ``MAX_ENTRIES``
 entries.  Coordinate indices must be decimal integers and no position may
 be given twice (in symmetric files, counting the mirrored position).
 
@@ -31,27 +33,42 @@ def _guard_size(rows, cols, path):
         )
 
 
+def _number(tok):
+    """``tok`` as a float under the grammar ``np.loadtxt`` reads, else ``None``.
+
+    That is Python's float syntax on ASCII text, around which whitespace is
+    allowed, without the underscores and non-ASCII digits ``float`` also takes.
+    """
+    text = tok.strip()
+    if not text.isascii() or "_" in text:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _parse_csv(text, path):
     lines = text.splitlines()
-    first = next((line for line in lines if line.strip()), None)
-    if first is None:
+    rows = [line for line in lines if line.strip()]
+    if not rows:
         raise ParseError(f"{path}: no rows found", code="empty")
-    _guard_size(len(lines), len(first.split(",")), path)
-    # Text that np.loadtxt refuses takes the token loop, which names the
-    # failing line and field.  loadtxt gets the lines, not a StringIO of the
-    # text, which would hold a copy at four bytes per character.
+    _guard_size(len(lines), len(rows[0].split(",")), path)
+    # loadtxt gets the nonblank lines, not a StringIO of the text, which
+    # would hold a copy at four bytes per character.
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return _parse_csv_tokens(lines, path)
+        return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        _csv_fault(lines, path)
+        raise ParseError(f"{path}: {exc}", code="bad-token") from None
 
 
-def _parse_csv_tokens(lines, path):
-    rows = []
+def _csv_fault(lines, path):
+    """Raise the first ragged row or bad token of text ``np.loadtxt`` refused,
+    naming its line and field."""
     width = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
         tokens = line.split(",")
         if width is None:
@@ -62,31 +79,26 @@ def _parse_csv_tokens(lines, path):
                 code="ragged-row",
                 line=lineno,
             )
-        row = []
         for colno, tok in enumerate(tokens, start=1):
-            try:
-                row.append(float(tok))
-            except ValueError:
+            if _number(tok) is None:
                 raise ParseError(
                     f"{path}: cannot parse {tok.strip()!r} at line {lineno}, "
                     f"field {colno}",
                     code="bad-token",
                     line=lineno,
                     column=colno,
-                ) from None
-        rows.append(row)
-    return np.array(rows, dtype=float)
+                )
 
 
 def _mm_value(tok, path, lineno):
-    try:
-        return float(tok)
-    except ValueError:
+    value = _number(tok)
+    if value is None:
         raise ParseError(
             f"{path}: cannot parse {tok!r} at line {lineno}",
             code="bad-token",
             line=lineno,
-        ) from None
+        )
+    return value
 
 
 def _mm_index(tok, path, lineno):

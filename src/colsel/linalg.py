@@ -115,14 +115,22 @@ def _top_pair(h, tol):
     v = v / math.sqrt(float(v @ v))
     r = h @ v - lam * v
     resid = math.sqrt(float(r @ r))
-    # The scale is at least 1, so ``||H||_F`` is needed only above ``tol``.
+    _require_residual(resid, tol, lambda: math.sqrt(float(np.sum(h * h))))
+    return EigPair(lam, v, resid)
+
+
+def _require_residual(resid, tol, frobenius):
+    """Refuse an eigenpair residual above ``tol * max(1, ||H||_F)``.
+
+    ``frobenius()`` gives ``||H||_F``; the scale is at least 1, so it is
+    called only when ``resid > tol``.
+    """
     if resid > tol:
-        scale = max(1.0, math.sqrt(float(np.sum(h * h))))
+        scale = max(1.0, frobenius())
         if resid > tol * scale:
             raise SolverError(
                 f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
             )
-    return EigPair(lam, v, resid)
 
 
 def spectral_norm(a, tol=1e-10):

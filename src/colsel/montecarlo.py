@@ -99,14 +99,21 @@ def _passes(mean, bound, se):
     return mean <= bound + 3.0 * se + _PASS_ULP_SLACK * max(1.0, abs(bound))
 
 
-def _mean_se(values):
-    values = np.asarray(values)
+def _result(values, bound, model, delta, fitted_constant=None, *, judged=True):
+    """The row of trial ``values`` against ``bound``: their mean and standard
+    error, and ``passed`` by :func:`_passes` (always, for a row not ``judged``)."""
     mean = float(values.mean())
-    if values.size > 1:
-        se = float(values.std(ddof=1) / math.sqrt(values.size))
-    else:
-        se = 0.0
-    return mean, se
+    se = float(values.std(ddof=1) / math.sqrt(values.size))
+    return ExperimentResult(
+        trials=values.size,
+        empirical_mean=mean,
+        theoretical_bound=bound,
+        std_error=se,
+        passed=not judged or _passes(mean, bound, se),
+        model=model,
+        delta=float(delta),
+        fitted_constant=fitted_constant,
+    )
 
 
 def _check_experiment(a, delta, trials, seed):
@@ -134,9 +141,6 @@ def check_inf2_reduction(a, delta, trials, seed=0):
     r_values = _trial_values("inf2", columns, "R", n, delta, seed, 0, trials)
     p_values = _trial_values("inf2", columns, "P", n, delta, seed, 1, trials)
 
-    r_mean, r_se = _mean_se(r_values)
-    p_mean, p_se = _mean_se(p_values)
-
     s = int(math.floor(delta * n))
     in_regime = (
         s > 0
@@ -145,24 +149,8 @@ def check_inf2_reduction(a, delta, trials, seed=0):
     )
     p_bound = 7.0 * math.sqrt(s) if in_regime else 2.0 * r_bound
 
-    r_result = ExperimentResult(
-        trials=trials,
-        empirical_mean=r_mean,
-        theoretical_bound=r_bound,
-        std_error=r_se,
-        passed=_passes(r_mean, r_bound, r_se),
-        model="R_delta",
-        delta=float(delta),
-    )
-    p_result = ExperimentResult(
-        trials=trials,
-        empirical_mean=p_mean,
-        theoretical_bound=p_bound,
-        std_error=p_se,
-        passed=_passes(p_mean, p_bound, p_se),
-        model="P_delta",
-        delta=float(delta),
-    )
+    r_result = _result(r_values, r_bound, "R_delta", delta)
+    p_result = _result(p_values, p_bound, "P_delta", delta)
     return r_result, p_result
 
 
@@ -195,25 +183,10 @@ def check_inf1_reduction(a, delta, trials, seed=0, *, regime=False):
         return h[np.ix_(idx, idx)]
 
     values = _trial_values("inf1", principal, "P", n, delta, seed, 2, trials)
-    mean, se = _mean_se(values)
+    mean = float(values.mean())
 
     col_norms = float(np.sqrt(np.sum(h * h, axis=0)).sum())
     bracket = delta**2 * inf1_full + delta**1.5 * 2.0 * col_norms
     fitted = mean / bracket if bracket > 0 else None
-
-    if regime:
-        bound = s / 9.0
-        passed = _passes(mean, bound, se)
-    else:
-        bound = bracket
-        passed = True
-    return ExperimentResult(
-        trials=trials,
-        empirical_mean=mean,
-        theoretical_bound=bound,
-        std_error=se,
-        passed=passed,
-        model="P_delta",
-        delta=float(delta),
-        fitted_constant=fitted,
-    )
+    bound = s / 9.0 if regime else bracket
+    return _result(values, bound, "P_delta", delta, fitted, judged=regime)

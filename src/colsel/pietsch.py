@@ -19,10 +19,8 @@ import math
 import numpy as np
 
 from .emd import EMD_BUDGET
-from .errors import SolverError
-from .factor import (  # noqa: F401  OBJECTIVE_EIG_TOL is re-exported
-    CERTIFICATE_EIG_TOL,
-    OBJECTIVE_EIG_TOL,
+from .factor import (
+    EIG_TOL,
     REL_TOL,
     EigenProgram,
     Factorization,
@@ -32,7 +30,7 @@ from .factor import (  # noqa: F401  OBJECTIVE_EIG_TOL is re-exported
     _factorize,
     _start_signs,
 )
-from .linalg import EigPair, _top_pair, as_matrix
+from .linalg import EigPair, _require_residual, _top_pair, as_matrix
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -60,30 +58,29 @@ class PietschObjective(EigenProgram):
         self._gram = None
         self._short = None
 
-    def pairs(self, f, tol, level):
+    def pairs(self, f):
         """The top eigenpair of ``B^T B - level diag(f)`` with its residual.
 
         The residual ``||H u - lambda u||_2`` is measured on the ``s x s``
-        problem and held to ``tol * max(1, ||H||_F)`` on either path.
+        problem and held to ``EIG_TOL * max(1, ||H||_F)`` on either path.
         """
         f = np.asarray(f, dtype=float)
         m, s = self.b.shape
         if m < s and f.max() == f.min():
-            return (self._short_side_pair(level * float(f[0]), tol),)
+            return (self._short_side_pair(self.level * float(f[0])),)
         if self._gram is None:
             self._gram = self.b.T @ self.b
         h = self._gram.copy()
         idx = np.arange(s)
-        h[idx, idx] -= level * f
-        return (_top_pair(h, tol),)
+        h[idx, idx] -= self.level * f
+        return (_top_pair(h, EIG_TOL),)
 
-    def _short_side_pair(self, c, tol):
+    def _short_side_pair(self, c):
         b = self.b
         if self._short is None:
-            k = b @ b.T
-            self._short = (k, float(np.sum(k * k)), float(np.sum(b * b)))
-        k, fro_k_sq, fro_b_sq = self._short
-        top = _top_pair(k, tol)
+            self._short = b @ b.T
+        k = self._short
+        top = _top_pair(k, EIG_TOL)
         w = b.T @ top.vector
         norm_w = math.sqrt(float(w @ w))
         if norm_w > 0.0:
@@ -93,21 +90,14 @@ class PietschObjective(EigenProgram):
             u[0] = 1.0
         r = b.T @ (b @ u) - top.value * u
         resid = math.sqrt(float(r @ r))
-        # ||B^T B - c I||_F^2 = ||B B^T||_F^2 - 2 c ||B||_F^2 + s c^2, exactly.
-        fro_h_sq = fro_k_sq - 2.0 * c * fro_b_sq + b.shape[1] * c * c
-        scale = max(1.0, math.sqrt(max(fro_h_sq, 0.0)))
-        if resid > tol * scale:
-            raise SolverError(
-                f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
-            )
-        return EigPair(top.value - c, u, resid)
 
-    def start(self):
-        """``K_P sqrt(s) ||B||`` and the top eigenvector of ``B^T B``."""
-        s = self.b.shape[1]
-        top = self.pair(np.ones(s), CERTIFICATE_EIG_TOL, 0.0)
-        spec = math.sqrt(max(top.value, 0.0))
-        return self.constant * math.sqrt(s) * spec, (top.vector,)
+        def frobenius():
+            # ||B^T B - c I||_F^2 = ||B B^T||_F^2 - 2 c ||B||_F^2 + s c^2, exactly.
+            fro_sq = float(np.sum(k * k)) - 2.0 * c * float(np.sum(b * b)) + b.shape[1] * c * c
+            return math.sqrt(max(fro_sq, 0.0))
+
+        _require_residual(resid, EIG_TOL, frobenius)
+        return EigPair(top.value - c, u, resid)
 
     def improve(self, x):
         return improve_sign_witness_inf2(self.b, x)

@@ -6,7 +6,9 @@ sampled submatrix, keep the columns whose squared diagonal weight is at most
 passes a spectral check that is re-verified independently of the solver.
 The outer loop doubles ``s`` starting from 4, giving each size
 ``ceil(8 log2 s)`` attempts, and stops after the first size whose accepted
-set no longer keeps pace with ``s``.
+set no longer keeps pace with ``s``.  A size that samples every column
+(``s = n``, which covers ``n < 4``) gets one attempt: each further one would
+factor the same matrix and measure the same candidate.
 
 ``kt_select`` controls the spectral norm (threshold 15); ``bt_select``
 controls the condition number (threshold ``sqrt(3)``) by driving down the
@@ -130,7 +132,7 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
     attempts = 0
 
     for round_index, s in enumerate(_size_schedule(n)):
-        tries = max(1, math.ceil(8.0 * math.log2(s))) if s > 1 else 1
+        tries = math.ceil(8.0 * math.log2(s)) if 1 < s < n else 1
         for k in range(1, tries + 1):
             rng = _stream(seed, round_index, k)
             candidate = reduce_step(a, s, rng, emd_iterations)

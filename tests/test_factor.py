@@ -4,13 +4,10 @@ Eigensolves are counted by wrapping ``numpy.linalg.eigh``, which the eigen
 kernel looks up at each call.
 """
 
-import importlib
-
 import numpy as np
 import pytest
 
-from colsel import groth_optimal_alpha, hollow_gram, standardize
-from colsel.factor import CERTIFICATE_EIG_TOL, OBJECTIVE_EIG_TOL
+from colsel import SolverError, groth_optimal_alpha, hollow_gram, standardize
 from colsel.grothendieck import GrothObjective
 from colsel.pietsch import PietschObjective
 
@@ -57,36 +54,28 @@ def test_certificate_at_the_evaluated_point_makes_no_solve(eigh_calls, program, 
     assert len(eigh_calls) == branches
     bound = program.certified(f)
     assert len(eigh_calls) == branches
-    fresh = program.pairs(f, CERTIFICATE_EIG_TOL, program.level)
+    fresh = program.pairs(f)
     assert bound == max(p.value + p.residual for p in fresh) >= value
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())
-def test_another_point_or_level_solves_afresh(eigh_calls, program, f, branches):
+def test_another_point_solves_afresh(eigh_calls, program, f, branches):
     program(f)
     program.certified(np.nextafter(f, 1.0))
     assert len(eigh_calls) == 2 * branches
-    program.pair(f, OBJECTIVE_EIG_TOL, 2.0 * program.level)
-    assert len(eigh_calls) == 3 * branches
     program.certified(f)
-    assert len(eigh_calls) == 4 * branches
+    assert len(eigh_calls) == 3 * branches
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())
-def test_a_residual_above_the_certificate_tol_solves_afresh(
-    eigh_calls, monkeypatch, program, f, branches
-):
-    # Residuals between the two tolerances pass the evaluation, not the certificate.
-    module = importlib.import_module(type(program).__module__)
-    top_pair = module._top_pair
+def test_a_residual_above_the_eig_tol_fails_the_evaluation(monkeypatch, program, f, branches):
+    # One tolerance: the evaluation itself refuses what a certificate would.
+    eigh = np.linalg.eigh
 
-    def loose(h, tol):
-        return top_pair(h, tol)._replace(residual=5e-12)
+    def perturbed(h, *args, **kwargs):
+        values, vectors = eigh(h, *args, **kwargs)
+        return values, vectors + 1e-6
 
-    monkeypatch.setattr(module, "_top_pair", loose)
-    assert CERTIFICATE_EIG_TOL < 5e-12 <= OBJECTIVE_EIG_TOL
-    program(f)
-    program.pair(f, OBJECTIVE_EIG_TOL, program.level)
-    assert len(eigh_calls) == branches
-    program.certified(f)
-    assert len(eigh_calls) == 2 * branches
+    monkeypatch.setattr(np.linalg, "eigh", perturbed)
+    with pytest.raises(SolverError, match="residual"):
+        program(f)

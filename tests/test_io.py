@@ -225,11 +225,14 @@ def test_write_report_error_names_path(tmp_path):
 
 
 def _token_loop(text):
-    """The per-token CSV parser alone, with the fast path's empty check."""
+    """A per-token CSV parser from the module's number grammar and fault
+    finder, with the fast path's empty check."""
     lines = text.splitlines()
-    if not any(line.strip() for line in lines):
+    rows = [line.split(",") for line in lines if line.strip()]
+    if not rows:
         raise ParseError("no rows", code="empty")
-    return colsel.io._parse_csv_tokens(lines, "m.csv")
+    colsel.io._csv_fault(lines, "m.csv")
+    return np.array([[colsel.io._number(tok) for tok in row] for row in rows], dtype=float)
 
 
 def _outcome(parse, text):
@@ -244,7 +247,8 @@ _TOKENS = st.one_of(
     st.floats().map(lambda v: format(v, ".17g")),
     st.sampled_from(
         ["1_0", "", " 2 ", "-0", "nan", "-inf", "Infinity", "+1.5", ".5", "5.",
-         "1e400", "x", "0x10", "1 2", "3\x0c", "\x1c4", "5\x85", "\u2028", "6\r"]
+         "1e400", "x", "0x10", "1 2", "3\x0c", "\x1c4", "5\x85", "\u2028", "6\r",
+         "1e5_0", "\u0663", "\xa07", "8\u3000"]
     ),
 )
 _LINES = st.one_of(
@@ -263,7 +267,39 @@ _LINES = st.one_of(
 @example(lines=["1,2", "", "3"], end="", sep="\n")
 @example(lines=["1\x1c,2"], end="", sep="\n")
 def test_csv_fast_path_matches_the_token_loop(lines, end, sep):
-    # np.loadtxt must give the loop's bits, or fall back to the loop's errors.
+    # np.loadtxt must give the loop's bits, or refuse with the loop's errors:
+    # the two read one number grammar.
     text = sep.join(lines) + end
     expected = _outcome(_token_loop, text)
     assert _outcome(lambda t: colsel.io._parse_csv(t, "m.csv"), text) == expected
+
+
+@pytest.mark.parametrize("token", ["1e5_0", "1_0", "٣"])
+def test_csv_refuses_what_loadtxt_refuses(tmp_path, token):
+    # float() takes underscores and non-ASCII digits; the CSV grammar does not.
+    path = write(tmp_path, "grammar.csv", f"1,2\n3,{token}\n")
+    with pytest.raises(ParseError, match="line 2") as info:
+        load_matrix(path)
+    assert info.value.code == "bad-token"
+    assert (info.value.line, info.value.column) == (2, 2)
+
+
+def test_csv_whitespace_only_line_is_skipped(tmp_path):
+    path = write(tmp_path, "blank.csv", "1,2\n   \n3,4\n")
+    assert np.array_equal(load_matrix(path), [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_csv_fault_after_a_whitespace_only_line_names_its_line(tmp_path):
+    path = write(tmp_path, "blank.csv", "1,2\n \t\n3\n")
+    with pytest.raises(ParseError) as info:
+        load_matrix(path)
+    assert (info.value.code, info.value.line) == ("ragged-row", 3)
+
+
+@pytest.mark.parametrize("token", ["1_0", "٣"])
+def test_matrix_market_values_read_the_csv_grammar(tmp_path, token):
+    text = f"%%MatrixMarket matrix array real general\n2 1\n1\n{token}\n"
+    path = write(tmp_path, "grammar.mtx", text)
+    with pytest.raises(ParseError, match="line 4") as info:
+        load_matrix(path)
+    assert (info.value.code, info.value.line) == ("bad-token", 4)

@@ -17,7 +17,6 @@ from colsel import (
     standardize,
 )
 from colsel.exact import _batched_norms
-from colsel.montecarlo import _mean_se
 from colsel.select import _stream
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
@@ -201,8 +200,9 @@ def test_experiments_equal_per_trial_oracles():
         (p_res, 1, "P", lambda idx: norm_inf2_exact(a[:, idx])[0]),
         (i_res, 2, "P", lambda idx: norm_inf1_exact(h[np.ix_(idx, idx)])[0]),
     ):
-        values = [
+        values = np.array([
             value(sample_projector(model, 16, 0.8, _stream(3, stream, t)))
             for t in range(100)
-        ]
-        assert (res.empirical_mean, res.std_error) == _mean_se(values)
+        ])
+        se = float(values.std(ddof=1) / math.sqrt(values.size))
+        assert (res.empirical_mean, res.std_error) == (float(values.mean()), se)

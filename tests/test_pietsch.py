@@ -30,8 +30,9 @@ from colsel import (
     spectral_norm,
     standardize,
 )
+from colsel.factor import EIG_TOL
 from colsel.linalg import STANDARDIZE_ATOL
-from colsel.pietsch import CERTIFICATE_EIG_TOL, OBJECTIVE_EIG_TOL, PietschObjective
+from colsel.pietsch import PietschObjective
 
 from oracles import jacobi_max_eigenvalue
 
@@ -230,9 +231,11 @@ def test_short_side_pair_matches_dense(shape, kind, seed, c_ratio):
         b[:, s // 2 :] = b[:, : s - s // 2]
     elif kind == "zero":
         b[:] = 0.0
-    c = c_ratio * np.linalg.norm(b, 2) ** 2  # c_ratio > 1: c > ||B||^2
-    tol = CERTIFICATE_EIG_TOL
-    short = PietschObjective(b, 0.0).pair(np.ones(s), tol, c)
+    # c_ratio > 1: c > ||B||^2
+    program = PietschObjective(b, math.sqrt(c_ratio) * np.linalg.norm(b, 2))
+    c = program.level
+    tol = EIG_TOL
+    short = program.pair(np.ones(s))
     h = b.T @ b - c * np.eye(s)
     dense = max_eig_pair(h, tol)
     scale = max(1.0, np.linalg.norm(h, "fro"))
@@ -254,7 +257,7 @@ def test_nonconstant_weights_on_wide_b_match_dense_evaluation():
     f /= f.sum()
     alpha = 2.3
     sample = pietsch_objective(b, alpha, f)
-    dense = max_eig_pair(b.T @ b - alpha**2 * np.diag(f), OBJECTIVE_EIG_TOL)
+    dense = max_eig_pair(b.T @ b - alpha**2 * np.diag(f), EIG_TOL)
     assert sample.value == dense.value
     assert np.array_equal(sample.subgradient, -(alpha**2) * dense.vector**2)
 

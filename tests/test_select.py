@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 from itertools import combinations
@@ -5,9 +6,11 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import colsel.select
 from colsel import (
     DomainError,
     PIETSCH_CONSTANT,
+    SolverError,
     bt_select,
     condition_number,
     cond_reduce,
@@ -21,6 +24,7 @@ from colsel import (
     stable_rank,
     standardize,
 )
+from colsel import cli
 
 DOUBLE_ID_8 = standardize(np.hstack([np.eye(8), np.eye(8)]))
 
@@ -241,3 +245,48 @@ def test_threshold_must_be_positive(select, threshold):
     # A NaN threshold was once accepted, and the selection returned column 0.
     with pytest.raises(DomainError, match="threshold"):
         select(DOUBLE_ID_8, seed=0, threshold=threshold)
+
+
+def test_a_size_that_samples_every_column_runs_once():
+    # Every attempt at s = n factors the same matrix and measures the same
+    # candidate; this input once logged 13 identical attempts.
+    a = standardize(np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    report = bt_select(a, seed=0)
+    assert report.attempts == 1
+    assert report.tau.tolist() == [0]
+    assert report.per_round_log == [(3, 1, 3, math.inf)]
+
+
+@pytest.fixture(params=[("kt", "pietsch_factorize"), ("bt", "groth_factorize")], ids=["kt", "bt"])
+def first_solve_fails(request, monkeypatch):
+    """The selection command whose first factorization raises ``SolverError``."""
+    command, name = request.param
+    real = getattr(colsel.select, name)
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise SolverError("synthetic failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(colsel.select, name, fails_once)
+    return command
+
+
+def test_a_failed_attempt_is_logged_and_the_next_one_runs(first_solve_fails):
+    select = kt_select if first_solve_fails == "kt" else bt_select
+    report = select(DOUBLE_ID_8, seed=0)
+    assert report.per_round_log[0] == (4, 1, 0, None)
+    assert report.per_round_log[1][:2] == (4, 2)
+    assert report.attempts == len(report.per_round_log)
+
+
+def test_a_failed_attempt_reports_a_null_metric(first_solve_fails, tmp_path, capsys):
+    path = tmp_path / "d8.csv"
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in DOUBLE_ID_8))
+    assert cli.main([first_solve_fails, str(path)]) == 0
+    out = capsys.readouterr().out
+    assert '"per_round_log": [[4, 1, 0, null], [4, 2, ' in out
+    result = json.loads(out)["result"]
+    assert result["attempts"] == len(result["per_round_log"])
