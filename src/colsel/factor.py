@@ -8,13 +8,13 @@ simplex iff ``A`` factors through ``D = diag(sqrt f)`` with ``||T|| <=
 alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
 the bracket ``constant``, ``name`` (the input's name in messages), ``level``
 (``alpha^p``), ``pairs(f)`` (the top eigenpair of each branch at ``level``,
-solved to ``EIG_TOL``: one branch for Pietsch, two for Grothendieck),
+solved to ``linalg.EIG_TOL``: one branch for Pietsch, two for Grothendieck),
 ``improve(x)`` (sign-witness ascent) and ``split(d)``/``join(t, d)`` (``T``
-from ``D``, and the input back from both).  The base class derives ``pair``
-(the attaining branch's pair), the evaluation ``program(f)`` and
-``certified(f)`` (an upper bound on ``lambda(f)``).  All three solve through
-one memo of the program's last point, so a certificate asked for at the
-point just evaluated makes no eigensolve (see :class:`EigenProgram`).
+from ``D``, and the input back from both).  The base class derives the
+evaluation ``program(f)`` (the attaining branch's value and subgradient) and
+``certified(f)`` (an upper bound on ``lambda(f)``).  Both solve through one
+memo of the program's last point, so a certificate asked for at the point
+just evaluated makes no eigensolve (see :class:`EigenProgram`).
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -26,12 +26,12 @@ at zero and certifies ``eta``.  A positive ``eta`` is absorbed by blending
 with the uniform point, ``(alpha^p f + eta) / (alpha^p + eta s)``, at the
 price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if eigensolver slack
 lets ``||T||`` pass that, the excess ``(||T||^p - alpha_eff^p) / s`` is
-folded into ``eta`` once.  :func:`_bracket` bisects on ``alpha``: sign
-vectors give lower bounds, factor norms upper bounds.  Both, and the public
-objective :func:`_evaluate`, solve ``A 2^-e`` at level ``alpha 2^-e``, ``2^e``
-bringing the largest entry of ``A`` into ``[0.5, 1)``, and scale the results
-back (``eta``, objective values and subgradients by ``2^(p e)``).  That is
-exact, so nothing overflows or underflows and all three are homogeneous in
+folded into ``eta`` once.  :func:`_bracket` bisects on ``alpha``: the sign
+vectors of its start give the lower bound, factor norms upper bounds.  Both,
+and the public objective :func:`_evaluate`, solve ``A 2^-e`` at level ``alpha
+2^-e``, ``2^e`` bringing the largest entry of ``A`` into ``[0.5, 1)``, and
+scale the results back (``eta``, objective values and subgradients by ``2^(p
+e)``).  That is exact, so nothing overflows or underflows and all three are homogeneous in
 ``A``.
 """
 
@@ -51,12 +51,6 @@ ZERO_COLUMN_GATE = 1e-6
 RECONSTRUCTION_RTOL = 1e-8
 NORM_SLACK = 1e-8
 
-# Residual bound accepted from the dense eigensolver, relative to
-# ``max(1, ||H||_F)``, for evaluations and certificates alike.  A dense
-# ``eigh`` is accurate to rounding; this only bounds the accepted residual,
-# it does not set the accuracy.
-EIG_TOL = 1e-12
-
 # Default relative tolerance of the bracket bisection.
 REL_TOL = 0.05
 
@@ -71,12 +65,11 @@ class EigenProgram:
     branches' top values.
 
     A program keeps the branch pairs of the last point it solved, keyed by
-    the exact bytes of ``f``.  ``pair``, the evaluation and ``certified``
-    reuse them when the same point comes again: every pair passed the
-    kernel's test ``residual <= EIG_TOL max(1, ||H||_F)`` when it was
-    solved, and a fresh solve of the same matrix gives the same bits, so
-    reuse changes no value.  Otherwise the branches are solved afresh, with
-    their ``SolverError``.
+    the exact bytes of ``f``.  The evaluation and ``certified`` reuse them
+    when the same point comes again: every pair passed the kernel's test
+    ``residual <= EIG_TOL max(1, ||H||_F)`` when it was solved, and a fresh
+    solve of the same matrix gives the same bits, so reuse changes no value.
+    Otherwise the branches are solved afresh, with their ``SolverError``.
     """
 
     _last = None  # (f bytes, branch pairs) of the last solve
@@ -90,13 +83,10 @@ class EigenProgram:
         self._last = (key, pairs)
         return pairs
 
-    def pair(self, f):
-        """The top pair of the attaining branch: the first with the largest value."""
-        return max(self._solved(f), key=lambda top: top.value)
-
     def __call__(self, f):
-        """The value at ``f`` and the subgradient ``-level u^2`` of its top vector ``u``."""
-        top = self.pair(f)
+        """The value at ``f`` and the subgradient ``-level u^2`` of the top
+        vector ``u`` of the attaining branch, the first with the largest value."""
+        top = max(self._solved(f), key=lambda p: p.value)
         return SubgradientSample(top.value, -self.level * top.vector**2)
 
     def certified(self, f):
@@ -159,17 +149,23 @@ def _canonical_sign(x):
     return x if x[0] > 0 else -x
 
 
+def _column_vector(v, s, name, label):
+    """``v`` as a float vector with one finite entry per column of ``name``,
+    which has ``s`` columns and needs one; refused with :class:`DomainError`."""
+    if s == 0:
+        raise DomainError(f"{name} must have at least one column")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (s,):
+        raise DomainError(f"{label} must have {s} entries, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise DomainError(f"{label} must have finite entries")
+    return v
+
+
 def _start_signs(x, s, name):
     """The sign vector of a start ``x`` for an ascent over the ``s`` columns
     of ``name``: ``+1`` where ``x >= 0`` (zeros included), ``-1`` elsewhere."""
-    if s == 0:
-        raise DomainError(f"{name} must have at least one column")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (s,):
-        raise DomainError(f"x must have {s} entries, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise DomainError("x must have finite entries")
-    return np.where(x >= 0, 1.0, -1.0)
+    return np.where(_column_vector(x, s, name, "x") >= 0, 1.0, -1.0)
 
 
 def _unit_input(program, a):
@@ -204,8 +200,7 @@ def _evaluate(program, a, alpha, f):
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
         raise DomainError(f"alpha must be finite and nonnegative, got {alpha!r}")
-    if not np.isfinite(f).all():
-        raise DomainError("f must have finite entries")
+    f = _column_vector(f, a.shape[1], program.name, "f")
     a, e = _unit_scaled(a)
     value, grad = program(a, _unit_level(program, alpha, e))(f)
     shift = program.power * e
@@ -274,7 +269,7 @@ def _build(objective, a, fro, f, alpha, eta):
             f"reconstruction residual {recon:.3g} exceeds tolerance; "
             "zero weights do not match zero columns"
         )
-    t_norm = spectral_norm(t, EIG_TOL)
+    t_norm = spectral_norm(t)
     return Factorization(d, t, alpha_eff, float(eta), recon, t_norm)
 
 
@@ -295,8 +290,8 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
         zero = Factorization(d, np.zeros_like(a), 0.0, 0.0, 0.0, 0.0)
         return NormBracket(0.0, 0.0, zero, np.ones(s), True, 0)
     # At level 0 every weight gives the unshifted spectrum.  Its top value
-    # bounds the norm above (``K_P sqrt(s) ||B||``, ``K_G s ||G||``), and the
-    # top vector of each branch seeds a lower bound.
+    # bounds the norm above (``K_P sqrt(s) ||B||``, ``K_G s ||G||``); the
+    # all-ones start and each branch's top vector give the one lower bound.
     objective = program(a, 0.0)
     tops = objective.pairs(np.ones(s))
     root = math.sqrt if power == 2 else (lambda x: x)
@@ -333,18 +328,10 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
         if upper < alpha_hi:
             alpha_hi = upper
             best = fact
-        pair = program(a, mid).pair(fact.d**2)
-        cand, cand_x = objective.improve(np.sign(pair.vector))
-        if cand > lo:
-            lo, witness = cand, cand_x
-            lo_b = max(lo_b, lo)
-        feasible = fact.eta <= 0.0 or fact.alpha_effective <= mid * (1.0 + rel_tol)
-        if feasible:
+        if fact.eta <= 0.0 or fact.alpha_effective <= mid * (1.0 + rel_tol):
             hi_b = mid
         else:
-            lo_b = max(lo_b, mid)
-        if hi_b < lo_b:
-            hi_b = lo_b
+            lo_b = mid
 
     best = None if best is None else _rescaled(best, e, power)
     alpha_lo = _ldexp(lo * (1.0 - 1e-12), e)

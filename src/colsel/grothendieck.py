@@ -20,7 +20,6 @@ import numpy as np
 
 from .emd import EMD_BUDGET
 from .factor import (
-    EIG_TOL,
     REL_TOL,
     EigenProgram,
     Factorization,
@@ -30,7 +29,7 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import _require_symmetric, _top_pair, as_matrix
+from .linalg import _ldexp, _require_symmetric, _top_pair, _unit_scaled, as_matrix
 
 GROTHENDIECK_LOWER = math.pi / 2.0
 GROTHENDIECK_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -74,7 +73,7 @@ class GrothObjective(EigenProgram):
     def pairs(self, f):
         """Top eigenpairs of ``G - level F`` and ``-G - level F``; a tie goes to ``+G``."""
         shift = np.diag(self.level * np.asarray(f, dtype=float))
-        return [_top_pair(signed - shift, EIG_TOL) for signed in (self.g, -self.g)]
+        return [_top_pair(signed - shift) for signed in (self.g, -self.g)]
 
     def improve(self, x):
         return improve_sign_witness_inf1(self.g, x)
@@ -120,10 +119,12 @@ def improve_sign_witness_inf1(g, x):
     negates that column.  The scores are computed in one scratch buffer,
     with the same floating-point operations in the same order as forming
     ``|y - 2 g_j x_j|`` afresh (doubling and signs are exact), so the
-    flips and the result are the same bits.
+    flips and the result are the same bits.  It runs at unit scale, so it is
+    homogeneous.
     """
     g = as_matrix(g, "G")
     x = _start_signs(x, g.shape[1], "G")
+    g, e = _unit_scaled(g)
     y = g @ x
     current = float(np.abs(y).sum())
     step = 2.0 * g * x[None, :]
@@ -139,7 +140,7 @@ def improve_sign_witness_inf1(g, x):
         x[j] = -x[j]
         current = float(np.abs(y).sum())
     y = g @ x
-    return float(np.abs(y).sum()), x
+    return _ldexp(float(np.abs(y).sum()), e), x
 
 
 def groth_optimal_alpha(
@@ -151,7 +152,7 @@ def groth_optimal_alpha(
 ) -> NormBracket:
     """Certified bracket for ``||G||_{inf->1}`` by bisection over ``alpha``.
 
-    Same scheme as the Pietsch bracket: sign-vector probes below,
+    Same scheme as the Pietsch bracket: the start's sign vectors below,
     factorization norms above, ratio target
     ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``; it runs at unit
     scale, and ``lower_witness`` has first entry ``+1``.  The zero matrix

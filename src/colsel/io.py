@@ -101,6 +101,18 @@ def _mm_value(tok, path, lineno):
     return value
 
 
+def _mm_tokens(ln, layout, form, path, lineno):
+    """The tokens of an entry line, refused unless they match ``form`` one to one."""
+    tokens = ln.split()
+    if len(tokens) != len(form.split()):
+        raise ParseError(
+            f"{path}: {layout} line {lineno} needs '{form}'",
+            code="mm-entry",
+            line=lineno,
+        )
+    return tokens
+
+
 def _mm_index(tok, path, lineno):
     if not (tok.isascii() and tok.isdigit()):
         raise ParseError(
@@ -170,7 +182,10 @@ def _parse_matrix_market(text, path):
                 f"{path}: expected {rows * cols} entries, found {len(entries)}",
                 code="mm-count",
             )
-        values = [_mm_value(ln.split()[0], path, no) for no, ln in entries]
+        values = []
+        for no, ln in entries:
+            (tok,) = _mm_tokens(ln, layout, "value", path, no)
+            values.append(_mm_value(tok, path, no))
         # Matrix Market array data is column-major.
         return np.array(values, dtype=float).reshape((cols, rows)).T
 
@@ -183,13 +198,7 @@ def _parse_matrix_market(text, path):
     a = np.zeros((rows, cols))
     seen = {}  # position -> line that set it; symmetric files key (lo, hi)
     for no, ln in entries:
-        tokens = ln.split()
-        if len(tokens) != 3:
-            raise ParseError(
-                f"{path}: coordinate line {no} needs 'row col value'",
-                code="mm-entry",
-                line=no,
-            )
+        tokens = _mm_tokens(ln, layout, "row col value", path, no)
         i = _mm_index(tokens[0], path, no)
         j = _mm_index(tokens[1], path, no)
         v = _mm_value(tokens[2], path, no)

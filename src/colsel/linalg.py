@@ -19,6 +19,10 @@ STANDARDIZE_ATOL = 1e-8
 ZERO_COLUMN_ATOL = 1e-12
 # Singular values at or below this fraction of the largest count as zero.
 RANK_RTOL = 1e-12
+# Largest eigenpair residual accepted from the dense eigensolver, relative to
+# ``max(1, ||H||_F)``.  A dense ``eigh`` is accurate to rounding; this only
+# decides when a residual is refused, it does not set the accuracy.
+EIG_TOL = 1e-12
 
 
 def as_matrix(a, name="matrix"):
@@ -82,23 +86,20 @@ class EigPair(NamedTuple):
     residual: float
 
 
-def max_eig_pair(h, tol=1e-10) -> EigPair:
+def max_eig_pair(h) -> EigPair:
     """Algebraically maximal eigenpair of a symmetric matrix.
 
     Backed by the dense symmetric eigensolver; the returned pair always
     carries its measured residual, and :class:`SolverError` is raised if
-    ``||H v - lam v||_2 > tol * max(1, ||H||_F)`` (which for a dense solve
-    indicates ``tol`` was tightened past machine precision).
+    ``||H v - lam v||_2 > EIG_TOL * max(1, ||H||_F)``.
     """
     h = _require_symmetric(h)
-    if not tol > 0:  # written so that a NaN tol is refused too
-        raise DomainError(f"tol must be positive, got {tol!r}")
     if h.shape[0] == 0:
         raise DomainError("matrix must have at least one row")
-    return _top_pair(h, tol)
+    return _top_pair(h)
 
 
-def _top_pair(h, tol):
+def _top_pair(h):
     """:func:`max_eig_pair` without its checks, for a nonempty symmetric
     finite ``h`` whose entries and their squared sum stay in the float range."""
     # ``||H||_F`` underflows to 0 for a tiny nonzero matrix; test the entries.
@@ -115,25 +116,25 @@ def _top_pair(h, tol):
     v = v / math.sqrt(float(v @ v))
     r = h @ v - lam * v
     resid = math.sqrt(float(r @ r))
-    _require_residual(resid, tol, lambda: math.sqrt(float(np.sum(h * h))))
+    _require_residual(resid, lambda: math.sqrt(float(np.sum(h * h))))
     return EigPair(lam, v, resid)
 
 
-def _require_residual(resid, tol, frobenius):
-    """Refuse an eigenpair residual above ``tol * max(1, ||H||_F)``.
+def _require_residual(resid, frobenius):
+    """Refuse an eigenpair residual above ``EIG_TOL * max(1, ||H||_F)``.
 
     ``frobenius()`` gives ``||H||_F``; the scale is at least 1, so it is
-    called only when ``resid > tol``.
+    called only when ``resid > EIG_TOL``.
     """
-    if resid > tol:
+    if resid > EIG_TOL:
         scale = max(1.0, frobenius())
-        if resid > tol * scale:
+        if resid > EIG_TOL * scale:
             raise SolverError(
-                f"eigenpair residual {resid:.3g} exceeds {tol:g} * {scale:g}"
+                f"eigenpair residual {resid:.3g} exceeds {EIG_TOL:g} * {scale:g}"
             )
 
 
-def spectral_norm(a, tol=1e-10):
+def spectral_norm(a):
     """Largest singular value, via the extreme eigenpair of the Gram matrix."""
     a = as_matrix(a)
     if a.size == 0:
@@ -141,7 +142,7 @@ def spectral_norm(a, tol=1e-10):
     a, e = _unit_scaled(a)
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
-    pair = max_eig_pair(gram, tol)
+    pair = max_eig_pair(gram)
     return _ldexp(math.sqrt(max(pair.value, 0.0)), e)
 
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from .emd import EMD_BUDGET
 from .factor import (
-    EIG_TOL,
     REL_TOL,
     EigenProgram,
     Factorization,
@@ -30,7 +29,7 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import EigPair, _require_residual, _top_pair, as_matrix
+from .linalg import EigPair, _ldexp, _require_residual, _top_pair, _unit_scaled, as_matrix
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -73,14 +72,14 @@ class PietschObjective(EigenProgram):
         h = self._gram.copy()
         idx = np.arange(s)
         h[idx, idx] -= self.level * f
-        return (_top_pair(h, EIG_TOL),)
+        return (_top_pair(h),)
 
     def _short_side_pair(self, c):
         b = self.b
         if self._short is None:
             self._short = b @ b.T
         k = self._short
-        top = _top_pair(k, EIG_TOL)
+        top = _top_pair(k)
         w = b.T @ top.vector
         norm_w = math.sqrt(float(w @ w))
         if norm_w > 0.0:
@@ -96,7 +95,7 @@ class PietschObjective(EigenProgram):
             fro_sq = float(np.sum(k * k)) - 2.0 * c * float(np.sum(b * b)) + b.shape[1] * c * c
             return math.sqrt(max(fro_sq, 0.0))
 
-        _require_residual(resid, EIG_TOL, frobenius)
+        _require_residual(resid, frobenius)
         return EigPair(top.value - c, u, resid)
 
     def improve(self, x):
@@ -139,21 +138,23 @@ def improve_sign_witness_inf2(b, x):
     """Greedy single-flip ascent of ``||B x||_2`` over sign vectors.
 
     ``B`` needs a column and ``x`` one finite entry per column; the signs
-    of ``x`` start the ascent (zeros count as ``+1``).
+    of ``x`` start the ascent (zeros count as ``+1``).  It runs at unit scale
+    and stops below a gain relative to ``||B x||_2^2``, so it is homogeneous.
     """
     b = as_matrix(b, "B")
     x = _start_signs(x, b.shape[1], "B")
+    b, e = _unit_scaled(b)
     col_sq = np.sum(b * b, axis=0)
     y = b @ x
     for _ in range(4 * b.shape[1]):
         gains = 4.0 * (col_sq - x * (b.T @ y))
         j = int(np.argmax(gains))
-        if gains[j] <= 1e-12 * max(1.0, float(y @ y)):
+        if gains[j] <= 1e-12 * float(y @ y):
             break
         y = y - 2.0 * x[j] * b[:, j]
         x[j] = -x[j]
     y = b @ x  # fresh product: the incremental updates drift at ulp level
-    return math.sqrt(float(y @ y)), x
+    return _ldexp(math.sqrt(float(y @ y)), e), x
 
 
 def pietsch_optimal_alpha(
@@ -165,16 +166,16 @@ def pietsch_optimal_alpha(
 ) -> NormBracket:
     """Certified bracket for ``||B||_{inf->2}`` by bisection over ``alpha``.
 
-    Lower bounds come from evaluating ``||B x||_2`` at sign vectors (probes
-    are the signs of top eigenvectors met during the search, polished by
-    greedy flips); upper bounds are the factor norms of the factorizations
-    produced along the way.  Bisection stops once
-    ``alpha_hi / alpha_lo <= K_P (1 + rel_tol)`` or the search interval has
-    collapsed to relative width ``rel_tol``; exhausting ``max_probes`` first
-    returns the current bracket flagged as not converged.  The bisection
-    runs at unit scale, like :func:`pietsch_factorize`, and the bracket
-    ends and ``best`` are scaled back; ``lower_witness`` has first entry
-    ``+1``.  The zero matrix gets the bracket ``[0, 0]``.
+    The lower bound is ``||B x||_2`` at the best start sign vector (all ones
+    and the signs of the top eigenvector of ``B^T B``, each polished by
+    greedy flips); upper bounds are the factor norms of the probes.
+    Bisection stops once ``alpha_hi / alpha_lo <= K_P (1 + rel_tol)`` or the
+    search interval has collapsed to relative width ``rel_tol``; exhausting
+    ``max_probes`` first returns the current bracket flagged as not
+    converged.  The bisection runs at unit scale, like
+    :func:`pietsch_factorize`, and the bracket ends and ``best`` are scaled
+    back; ``lower_witness`` has first entry ``+1``.  The zero matrix gets
+    the bracket ``[0, 0]``.
     """
     b = as_matrix(b, "B")
     return _bracket(PietschObjective, b, rel_tol, emd_budget, max_probes, pietsch_factorize)

@@ -106,6 +106,15 @@ def test_experiment_command(capsys, i2_csv, tmp_path):
     assert all(row["passed"] for row in result["results"])
     assert result["poissonization"]["ok"] is True
 
+    code, out, _ = run_cli(
+        capsys, "experiment", "--kind", "inf1", "--regime", "--delta", "0.5",
+        "--trials", "120", "--seed", "5", str(big),
+    )
+    assert code == 0
+    (row,) = json.loads(out)["result"]["results"]
+    assert row["model"] == "P_delta"
+    assert row["theoretical_bound"] == 4 / 9  # s / 9 with s = floor(0.5 * 8)
+
 
 def test_usage_error_exit_2(capsys):
     assert cli.main([]) == 2

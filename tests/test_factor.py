@@ -7,7 +7,19 @@ kernel looks up at each call.
 import numpy as np
 import pytest
 
-from colsel import SolverError, groth_optimal_alpha, hollow_gram, standardize
+import colsel.factor
+import colsel.grothendieck
+import colsel.pietsch
+from colsel import (
+    SolverError,
+    groth_factorize,
+    groth_optimal_alpha,
+    hollow_gram,
+    pietsch_factorize,
+    pietsch_optimal_alpha,
+    standardize,
+)
+from colsel.factor import NORM_SLACK
 from colsel.grothendieck import GrothObjective
 from colsel.pietsch import PietschObjective
 
@@ -39,13 +51,90 @@ def _programs():
 
 def test_bracket_certifies_its_probe_without_a_second_solve(eigh_calls):
     # One feasible probe: the two start branches, one evaluation (two
-    # branches), the certificate (reused), t_norm and the post-probe pair
-    # (two branches).  Without reuse the certificate solves both branches again.
+    # branches), the certificate (reused) and t_norm.  Without reuse the
+    # certificate solves both branches again.
     a = np.random.default_rng(0).standard_normal((64, 128))
     bracket = groth_optimal_alpha(hollow_gram(standardize(a)))
     assert bracket.probes == 1
     assert bracket.best.eta <= 0.0
-    assert len(eigh_calls) == 7
+    assert len(eigh_calls) == 5
+
+
+def _wild_inputs():
+    # Columns of very different norms: one mirror-descent step leaves the
+    # probes infeasible, so the bracket bisects several times.
+    rng = np.random.default_rng(0)
+    b = rng.standard_normal((6, 12)) * 10.0 ** rng.uniform(-2, 2, 12)
+    w = np.diag(10.0 ** rng.uniform(-2, 2, 8))
+    h = rng.standard_normal((8, 8))
+    g = w @ (h + h.T) @ w
+    b, g = (m / 2.0 ** np.frexp(np.abs(m).max())[1] for m in (b, g))  # unit scale: e = 0
+    return [
+        pytest.param(colsel.pietsch, "improve_sign_witness_inf2", pietsch_optimal_alpha, b, 2,
+                     id="pietsch"),
+        pytest.param(colsel.grothendieck, "improve_sign_witness_inf1", groth_optimal_alpha, g, 3,
+                     id="groth"),
+    ]
+
+
+@pytest.mark.parametrize("module, ascent, optimal_alpha, a, starts", _wild_inputs())
+def test_bracket_ascends_only_from_its_start(monkeypatch, module, ascent, optimal_alpha, a, starts):
+    # The all-ones start and one per branch; a probe adds no ascent.
+    values = []
+    improve = getattr(module, ascent)
+
+    def counted(m, x):
+        value, signs = improve(m, x)
+        values.append(value)
+        return value, signs
+
+    monkeypatch.setattr(module, ascent, counted)
+    bracket = optimal_alpha(a, emd_budget=1)
+    assert bracket.probes >= 2
+    assert len(values) == starts
+    assert bracket.alpha_lo == max(values) * (1.0 - 1e-12)
+
+
+def _solvers():
+    b = np.random.default_rng(4).standard_normal((5, 7))
+    return [
+        pytest.param(pietsch_factorize, b, id="pietsch"),
+        pytest.param(groth_factorize, hollow_gram(standardize(b)), id="groth"),
+    ]
+
+
+@pytest.mark.parametrize("factorize, a", _solvers())
+def test_a_factor_norm_past_its_certificate_is_rebuilt(monkeypatch, factorize, a):
+    # The measured ||T|| is taken past alpha_effective once: eta absorbs the
+    # excess and the rebuilt factor passes.
+    calls = []
+    spectral_norm = colsel.factor.spectral_norm
+
+    def inflated_once(t):
+        calls.append(t)
+        return 1e3 if len(calls) == 1 else spectral_norm(t)
+
+    plain = factorize(a, 10.0)
+    monkeypatch.setattr(colsel.factor, "spectral_norm", inflated_once)
+    fact = factorize(a, 10.0)
+    assert len(calls) == 2
+    assert fact.eta > plain.eta
+    assert 10.0 < fact.alpha_effective
+    assert fact.t_norm <= fact.alpha_effective * (1.0 + NORM_SLACK)
+
+
+@pytest.mark.parametrize("factorize, a", _solvers())
+def test_a_factor_norm_past_its_rebuilt_certificate_fails(monkeypatch, factorize, a):
+    calls = []
+
+    def inflated(t):
+        calls.append(t)
+        return 1e3 * len(calls)
+
+    monkeypatch.setattr(colsel.factor, "spectral_norm", inflated)
+    with pytest.raises(SolverError, match="after rebuild"):
+        factorize(a, 10.0)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())

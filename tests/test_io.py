@@ -296,6 +296,15 @@ def test_csv_fault_after_a_whitespace_only_line_names_its_line(tmp_path):
     assert (info.value.code, info.value.line) == ("ragged-row", 3)
 
 
+@pytest.mark.parametrize("body, line", [("1 x\n2 7 9\n", 3), ("1\n2 7 9\n", 4)])
+def test_matrix_market_array_line_holds_one_value(tmp_path, body, line):
+    # Trailing tokens were once dropped: this file loaded as [[1], [2]].
+    path = write(tmp_path, "array.mtx", "%%MatrixMarket matrix array real general\n2 1\n" + body)
+    with pytest.raises(ParseError, match=f"line {line}") as info:
+        load_matrix(path)
+    assert (info.value.code, info.value.line) == ("mm-entry", line)
+
+
 @pytest.mark.parametrize("token", ["1_0", "٣"])
 def test_matrix_market_values_read_the_csv_grammar(tmp_path, token):
     text = f"%%MatrixMarket matrix array real general\n2 1\n1\n{token}\n"

@@ -33,15 +33,6 @@ def test_frobenius_rejects_nonfinite():
         frobenius_norm(np.array([[1.0, np.nan]]))
 
 
-@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10])
-def test_eigen_tolerance_must_be_positive(tol):
-    # A NaN tol once passed the check ``tol <= 0`` and was used as is.
-    with pytest.raises(DomainError, match="tol must be positive"):
-        max_eig_pair(np.eye(2), tol=tol)
-    with pytest.raises(DomainError, match="tol must be positive"):
-        spectral_norm(np.eye(2), tol=tol)
-
-
 def test_spectral_norm_basics():
     assert spectral_norm(np.eye(2)) == pytest.approx(1.0)
     assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
@@ -206,7 +197,7 @@ def test_max_eig_pair_contract():
     for n in (1, 2, 5, 17, 50):
         h = rng.standard_normal((n, n))
         h = (h + h.T) / 2
-        pair = max_eig_pair(h, tol=1e-10)
+        pair = max_eig_pair(h)
         assert abs(np.linalg.norm(pair.vector) - 1.0) <= 1e-12
         resid = np.linalg.norm(h @ pair.vector - pair.value * pair.vector)
         assert resid <= 1e-10 * max(1.0, frobenius_norm(h))

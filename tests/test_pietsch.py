@@ -30,9 +30,9 @@ from colsel import (
     spectral_norm,
     standardize,
 )
-from colsel.factor import EIG_TOL
-from colsel.linalg import STANDARDIZE_ATOL
-from colsel.pietsch import PietschObjective
+from colsel.grothendieck import improve_sign_witness_inf1
+from colsel.linalg import EIG_TOL, STANDARDIZE_ATOL
+from colsel.pietsch import PietschObjective, improve_sign_witness_inf2
 
 from oracles import jacobi_max_eigenvalue
 
@@ -235,9 +235,9 @@ def test_short_side_pair_matches_dense(shape, kind, seed, c_ratio):
     program = PietschObjective(b, math.sqrt(c_ratio) * np.linalg.norm(b, 2))
     c = program.level
     tol = EIG_TOL
-    short = program.pair(np.ones(s))
+    (short,) = program.pairs(np.ones(s))
     h = b.T @ b - c * np.eye(s)
-    dense = max_eig_pair(h, tol)
+    dense = max_eig_pair(h)
     scale = max(1.0, np.linalg.norm(h, "fro"))
     assert abs(short.value - dense.value) <= tol * scale
     assert short.residual <= tol * scale
@@ -257,7 +257,7 @@ def test_nonconstant_weights_on_wide_b_match_dense_evaluation():
     f /= f.sum()
     alpha = 2.3
     sample = pietsch_objective(b, alpha, f)
-    dense = max_eig_pair(b.T @ b - alpha**2 * np.diag(f), EIG_TOL)
+    dense = max_eig_pair(b.T @ b - alpha**2 * np.diag(f))
     assert sample.value == dense.value
     assert np.array_equal(sample.subgradient, -(alpha**2) * dense.vector**2)
 
@@ -459,6 +459,13 @@ def test_public_boundary_refusals():
         lambda: groth_objective(g, 1.0, [0.5, 0.5, math.inf, 0.0]),
         lambda: pietsch_objective(b, math.nan, np.full(4, 0.25)),  # non-finite alpha
         lambda: groth_objective(g, -1.0, np.full(4, 0.25)),
+        lambda: pietsch_objective(b, 1.0, np.ones(3)),  # f not one weight per column
+        lambda: pietsch_objective(b, 1.0, np.ones(7)),
+        lambda: pietsch_objective(b, 1.0, np.full((4, 1), 0.25)),
+        lambda: groth_objective(g, 1.0, np.full((4, 1), 0.25)),
+        lambda: groth_objective(g, 1.0, np.ones(5)),
+        lambda: pietsch_objective(np.zeros((2, 0)), 1.0, np.ones(0)),  # no columns
+        lambda: groth_objective(np.zeros((0, 0)), 1.0, np.ones(0)),
     ]
     for i, call in enumerate(bad):
         with pytest.raises(DomainError):
@@ -570,6 +577,21 @@ def test_objectives_are_homogeneous(c):
         scaled = objective(c * a, c * 1.3, f)
         assert scaled.value == c**p * unit.value
         assert np.array_equal(scaled.subgradient, c**p * unit.subgradient)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -1, 0, 1, 600, 1000])
+def test_ascents_are_homogeneous(k):
+    # Both ascents run on M 2^-e.  The inf2 ascent once stopped below an
+    # absolute floor: at 2^-1000 it made no flip, at 1e160 its squares overflowed.
+    c = 2.0**k
+    rng = np.random.default_rng(12)
+    b = rng.standard_normal((8, 20))
+    g = hollow_gram(standardize(rng.standard_normal((6, 20))))
+    for ascent, a in ((improve_sign_witness_inf2, b), (improve_sign_witness_inf1, g)):
+        value, x = ascent(a, np.ones(20))
+        scaled, scaled_x = ascent(c * a, np.ones(20))
+        assert np.array_equal(scaled_x, x)
+        assert scaled == c * value
 
 
 def test_objectives_at_extreme_scales():
