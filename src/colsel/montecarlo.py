@@ -16,11 +16,13 @@ bounds:
 
 Norms are evaluated by exact enumeration, so the matrix is capped at
 ``exact.ENUMERATION_CAP`` columns; the full-matrix oracle call refuses a
-wider input before any trial is drawn.  Trials draw from per-trial streams
-(``SeedSequence(seed, spawn_key=(stream, trial))``), making every experiment
-deterministic in the seed.  Trials are drawn ``_TRIAL_CHUNK`` at a time;
-their submatrices are then scored in stacks of one shape by the path the
-single-matrix oracles take (``exact._batched_norms``), with the same bits.
+wider input before any trial is drawn.  Each model of an experiment draws
+from one stream (``SeedSequence(seed, spawn_key=(stream,))``), making every
+experiment deterministic in the seed.  Trials are drawn ``_TRIAL_CHUNK`` at a
+time as one uniform block, and consecutive blocks of a stream equal one
+large block, so results do not depend on the chunk size.  The submatrices
+of a block are scored in stacks of one shape by the path the single-matrix
+oracles take (``exact._batched_norms``), with the same bits.
 """
 
 import math
@@ -63,15 +65,14 @@ class ExperimentResult:
 def _trial_values(kind, take, model, n, delta, seed, stream, trials):
     """Exact ``kind`` norms of ``take(idx)`` over the trials' draws.
 
-    Draws ``_TRIAL_CHUNK`` trials at a time, then scores them in batches.
+    Draws ``_TRIAL_CHUNK`` trials at a time from the model's one stream,
+    then scores them in batches.
     """
+    rng = _stream(seed, stream)
     values = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
         stop = min(start + _TRIAL_CHUNK, trials)
-        mats = [
-            take(sample_projector(model, n, delta, _stream(seed, stream, t)))
-            for t in range(start, stop)
-        ]
+        mats = [take(idx) for idx in _draws(model, n, delta, rng, stop - start)]
         values[start:stop] = _batched_norms(mats, kind)
     return values
 
@@ -81,18 +82,26 @@ def _require_delta(delta):
         raise DomainError("delta must lie in [0, 1]")
 
 
+def _draws(model, n, delta, rng, count):
+    """Sorted indices kept by ``count`` draws of the coordinate projector.
+
+    One ``(count, n)`` uniform block: ``R_delta`` keeps ``u < delta`` in each
+    row; ``P_delta`` keeps the first ``floor(delta n)`` entries of each row's
+    ``argsort``, a uniform subset of that size.
+    """
+    if model not in ("P", "R"):
+        raise DomainError(f"unknown sampling model {model!r}")
+    u = rng.random((count, n))
+    if model == "R":
+        return [np.flatnonzero(row) for row in u < delta]
+    s = math.floor(delta * n)
+    return list(np.sort(np.argsort(u, axis=1)[:, :s], axis=1))
+
+
 def sample_projector(model, n, delta, rng):
     """Sorted indices kept by one draw of the coordinate projector."""
     _require_delta(delta)
-    if model == "P":
-        s = int(math.floor(delta * n))
-        if s == 0:
-            return np.zeros(0, dtype=np.int64)
-        return np.sort(rng.choice(n, size=s, replace=False).astype(np.int64))
-    if model == "R":
-        keep = rng.random(n) < delta
-        return np.nonzero(keep)[0].astype(np.int64)
-    raise DomainError(f"unknown sampling model {model!r}")
+    return _draws(model, _require_count(n, "n", 0), delta, rng, 1)[0]
 
 
 def _passes(mean, bound, se):

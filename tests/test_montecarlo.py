@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from colsel import (
     sample_projector,
     standardize,
 )
+from colsel import montecarlo
 from colsel.exact import _batched_norms
+from colsel.montecarlo import _draws
 from colsel.select import _stream
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
@@ -200,9 +204,37 @@ def test_experiments_equal_per_trial_oracles():
         (p_res, 1, "P", lambda idx: norm_inf2_exact(a[:, idx])[0]),
         (i_res, 2, "P", lambda idx: norm_inf1_exact(h[np.ix_(idx, idx)])[0]),
     ):
-        values = np.array([
-            value(sample_projector(model, 16, 0.8, _stream(3, stream, t)))
-            for t in range(100)
-        ])
+        values = np.array([value(idx) for idx in _draws(model, 16, 0.8, _stream(3, stream), 100)])
         se = float(values.std(ddof=1) / math.sqrt(values.size))
         assert (res.empirical_mean, res.std_error) == (float(values.mean()), se)
+
+
+def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 150 trials in chunks of 7 read the stream in 22 blocks instead of one.
+    a = standardize(rng_from(11).standard_normal((6, 12)))
+    whole = (check_inf2_reduction(a, 0.4, 150, seed=5),
+             check_inf1_reduction(a, 0.4, 150, seed=5))
+    monkeypatch.setattr(montecarlo, "_TRIAL_CHUNK", 7)
+    chunked = (check_inf2_reduction(a, 0.4, 150, seed=5),
+               check_inf1_reduction(a, 0.4, 150, seed=5))
+    assert chunked == whole
+
+
+def test_p_draws_are_uniform_subsets():
+    # n = 5, s = 2: the 10 subsets should each appear 300 times in 3000 draws.
+    draws = _draws("P", 5, 0.4, _stream(0, 0), 3000)
+    counts = Counter(tuple(idx.tolist()) for idx in draws)
+    assert sorted(counts) == sorted(itertools.combinations(range(5), 2))
+    expected = len(draws) / 10
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    # 9 degrees of freedom: P(chi2 > 40) is below 1e-5.
+    assert chi2 < 40.0
+
+
+def test_r_draws_keep_each_coordinate_with_probability_delta():
+    n, delta, count = 12, 0.3, 4000
+    kept = np.zeros(n)
+    for idx in _draws("R", n, delta, _stream(0, 1), count):
+        kept[idx] += 1
+    se = math.sqrt(delta * (1 - delta) / count)
+    assert np.all(np.abs(kept / count - delta) <= 4 * se)

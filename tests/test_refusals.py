@@ -25,6 +25,7 @@ from colsel import (
     kt_select,
     pietsch_factorize,
     pietsch_optimal_alpha,
+    sample_projector,
     standardize,
 )
 from colsel.grothendieck import improve_sign_witness_inf1
@@ -64,6 +65,13 @@ def _experiment_rows():
         yield row(f"{kind}-trials-150.5",
                   lambda check=check: check(DOUBLE_ID, 0.5, 150.5, seed=0),
                   match="trials must be an integer")
+    # sample_projector once let numpy's ValueError (negative n) and
+    # TypeError (float n) escape.
+    for model, n, match in (("P", -3, "n must be at least 0"), ("R", 2.5, "n must be an integer")):
+        yield row(f"sample-projector-{model}-n-{n}",
+                  lambda model=model, n=n: sample_projector(model, n, 0.5,
+                                                            np.random.default_rng(0)),
+                  match=match)
 
 
 def _budget_rows():
