@@ -29,7 +29,8 @@ Output is byte-identical across runs for a fixed seed; wall-clock timings
 are only reported with ``--timings`` (they are ``null`` otherwise, keeping
 the default output deterministic).
 
-Exit codes: 0 success, 2 usage error, 3 domain/input error, 4 solver error.
+Exit codes: 0 success, 2 usage error, 3 domain/input error (a file that
+cannot be read, decoded or written included), 4 solver error.
 """
 
 import argparse
@@ -203,7 +204,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return _run(args)
-    except (ParseError, DomainError, FileNotFoundError) as exc:
+    except (ParseError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     except SolverError as exc:

@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the rule for integer settings."""
+"""Exception types shared across the package, the rule for integer settings,
+and the seed rule with the seeded streams it completes."""
 
 import operator
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -43,6 +46,12 @@ def _require_seed(seed):
     if seed >= 2**64:
         raise DomainError(f"seed must be below 2**64, got {seed!r}")
     return seed
+
+
+def _stream(seed, *spawn_key):
+    """The generator of stream ``spawn_key`` under a checked ``seed``."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _require_budget(iterations):

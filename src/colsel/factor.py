@@ -54,6 +54,9 @@ NORM_SLACK = 1e-8
 # Default relative tolerance of the bracket bisection.
 REL_TOL = 0.05
 
+# Probes a bracket runs before it returns unconverged.
+MAX_PROBES = 48
+
 # Unit-scale levels alpha^p up to this, their squares and sums stay in the
 # float range; above it, any input that fits in memory is trivially feasible
 # (uniform weights give ||T|| <= s ||A||_F, and ||A||_F^2 < m s at unit scale).
@@ -273,11 +276,12 @@ def _build(objective, a, fro, f, alpha, eta):
     return Factorization(d, t, alpha_eff, float(eta), recon, t_norm)
 
 
-def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
+def _bracket(program, a, rel_tol, emd_budget, factorize):
     """Bisect on ``alpha`` for the converted input ``a``.
 
     Every probe is one call of ``factorize``, the program's public solver,
-    on the unit-scaled ``a``, so a probe is what a caller would get.
+    on the unit-scaled ``a``, so a probe is what a caller would get; after
+    ``MAX_PROBES`` of them the bracket returns unconverged.
     """
     power = program.power
     a, e, fro = _unit_input(program, a)
@@ -317,7 +321,7 @@ def _bracket(program, a, rel_tol, emd_budget, max_probes, factorize):
         if ratio_ok or collapsed:
             converged = True
             break
-        if probes >= max_probes:
+        if probes >= MAX_PROBES:
             break
         mid = math.sqrt(lo_b * hi_b)
         fact = factorize(a, mid, emd_budget)

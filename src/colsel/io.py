@@ -80,23 +80,20 @@ def _csv_fault(lines, path):
                 line=lineno,
             )
         for colno, tok in enumerate(tokens, start=1):
-            if _number(tok) is None:
-                raise ParseError(
-                    f"{path}: cannot parse {tok.strip()!r} at line {lineno}, "
-                    f"field {colno}",
-                    code="bad-token",
-                    line=lineno,
-                    column=colno,
-                )
+            _value(tok, path, lineno, colno)
 
 
-def _mm_value(tok, path, lineno):
+def _value(tok, path, lineno, colno=None):
+    """``tok`` as a float, else a ``bad-token`` :class:`ParseError` naming its
+    line and, when given, its field."""
     value = _number(tok)
     if value is None:
+        field = "" if colno is None else f", field {colno}"
         raise ParseError(
-            f"{path}: cannot parse {tok!r} at line {lineno}",
+            f"{path}: cannot parse {tok.strip()!r} at line {lineno}{field}",
             code="bad-token",
             line=lineno,
+            column=colno,
         )
     return value
 
@@ -185,7 +182,7 @@ def _parse_matrix_market(text, path):
         values = []
         for no, ln in entries:
             (tok,) = _mm_tokens(ln, layout, "value", path, no)
-            values.append(_mm_value(tok, path, no))
+            values.append(_value(tok, path, no))
         # Matrix Market array data is column-major.
         return np.array(values, dtype=float).reshape((cols, rows)).T
 
@@ -201,7 +198,7 @@ def _parse_matrix_market(text, path):
         tokens = _mm_tokens(ln, layout, "row col value", path, no)
         i = _mm_index(tokens[0], path, no)
         j = _mm_index(tokens[1], path, no)
-        v = _mm_value(tokens[2], path, no)
+        v = _value(tokens[2], path, no)
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise ParseError(
                 f"{path}: coordinate ({i}, {j}) out of range at line {no}",
@@ -235,7 +232,12 @@ def load_matrix(path, fmt=None):
     if fmt not in ("csv", "matrix-market"):
         raise DomainError(f"unknown matrix format {fmt!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})", code="encoding"
+            ) from None
     if fmt == "csv":
         a = _parse_csv(text, path)
     else:
@@ -307,8 +309,5 @@ def write_report(report, path=None):
     if path is None:
         sys.stdout.write(text)
         return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

@@ -31,10 +31,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, _require_count, _require_seed
+from .errors import DomainError, _require_count, _require_seed, _stream
 from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
 from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
-from .select import _stream
 
 MIN_TRIALS = 100
 # trials drawn before each batched scoring; bounds the memory of the draws

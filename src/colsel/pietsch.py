@@ -157,13 +157,7 @@ def improve_sign_witness_inf2(b, x):
     return _ldexp(math.sqrt(float(y @ y)), e), x
 
 
-def pietsch_optimal_alpha(
-    b,
-    rel_tol=REL_TOL,
-    emd_budget=EMD_BUDGET,
-    *,
-    max_probes=48,
-) -> NormBracket:
+def pietsch_optimal_alpha(b, rel_tol=REL_TOL, emd_budget=EMD_BUDGET) -> NormBracket:
     """Certified bracket for ``||B||_{inf->2}`` by bisection over ``alpha``.
 
     The lower bound is ``||B x||_2`` at the best start sign vector (all ones
@@ -171,11 +165,11 @@ def pietsch_optimal_alpha(
     greedy flips); upper bounds are the factor norms of the probes.
     Bisection stops once ``alpha_hi / alpha_lo <= K_P (1 + rel_tol)`` or the
     search interval has collapsed to relative width ``rel_tol``; exhausting
-    ``max_probes`` first returns the current bracket flagged as not
-    converged.  The bisection runs at unit scale, like
+    ``factor.MAX_PROBES`` probes first returns the current bracket flagged
+    as not converged.  The bisection runs at unit scale, like
     :func:`pietsch_factorize`, and the bracket ends and ``best`` are scaled
     back; ``lower_witness`` has first entry ``+1``.  The zero matrix gets
     the bracket ``[0, 0]``.
     """
     b = as_matrix(b, "B")
-    return _bracket(PietschObjective, b, rel_tol, emd_budget, max_probes, pietsch_factorize)
+    return _bracket(PietschObjective, b, rel_tol, emd_budget, pietsch_factorize)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emd import EMD_BUDGET
-from .errors import DomainError, SolverError, _require_seed
+from .errors import DomainError, SolverError, _require_seed, _stream
 from .grothendieck import groth_factorize
 from .linalg import (
     _require_standardized,
@@ -61,48 +61,30 @@ def random_subset(n, s, rng):
     return np.sort(idx.astype(np.int64))
 
 
-def _stream(seed, *spawn_key):
-    """The generator of stream ``spawn_key`` under a checked ``seed``."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.PCG64(ss))
-
-
-def _prune(sample, weights_sq, s):
-    keep = weights_sq <= PRUNE_RATIO / s
-    return sample[keep]
+def _reduce(a, s, rng, factor):
+    """One sampling + factorization + pruning pass: draws ``s`` columns,
+    factors them with ``factor``, and returns the surviving original column
+    indices, or ``None`` when the inner solve fails (:class:`SolverError`)."""
+    a = as_matrix(a, "A")
+    sample = random_subset(a.shape[1], s, rng)
+    try:
+        fact = factor(a[:, sample])
+    except SolverError:
+        return None
+    return sample[fact.d**2 <= PRUNE_RATIO / s]
 
 
 def norm_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
-    """One sampling + factorization + pruning pass for the norm pipeline.
-
-    Draws ``s`` columns, factors them at level ``alpha = 8 K_P sqrt(s)``,
-    and returns the surviving original column indices.  Returns ``None``
-    when the inner solve fails (:class:`SolverError`).
-    """
-    a = as_matrix(a, "A")
-    sample = random_subset(a.shape[1], s, rng)
-    alpha = 8.0 * PIETSCH_CONSTANT * math.sqrt(s)
-    try:
-        fact = pietsch_factorize(a[:, sample], alpha, emd_iterations)
-    except SolverError:
-        return None
-    return _prune(sample, fact.d**2, s)
+    """The pass of the norm pipeline: Pietsch at level ``alpha = 8 K_P sqrt(s)``."""
+    return _reduce(a, s, rng, lambda b: pietsch_factorize(
+        b, 8.0 * PIETSCH_CONSTANT * math.sqrt(s), emd_iterations))
 
 
 def cond_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
-    """One sampling + factorization + pruning pass for the conditioning pipeline.
-
-    Forms the hollow Gram matrix of the sampled columns, factors it at level
-    ``alpha = s / 4``, and returns the surviving original column indices.
-    """
-    a = as_matrix(a, "A")
-    sample = random_subset(a.shape[1], s, rng)
-    g = hollow_gram(a[:, sample])
-    try:
-        fact = groth_factorize(g, s / 4.0, emd_iterations)
-    except SolverError:
-        return None
-    return _prune(sample, fact.d**2, s)
+    """The pass of the conditioning pipeline: Grothendieck on the hollow Gram
+    matrix of the sample at level ``alpha = s / 4``."""
+    return _reduce(a, s, rng, lambda b: groth_factorize(
+        hollow_gram(b), s / 4.0, emd_iterations))
 
 
 def _size_schedule(n):
@@ -129,14 +111,12 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
     tau_star = np.array([0], dtype=np.int64)
     best_metric = metric(a[:, tau_star])
     log = []
-    attempts = 0
 
     for round_index, s in enumerate(_size_schedule(n)):
         tries = math.ceil(8.0 * math.log2(s)) if 1 < s < n else 1
         for k in range(1, tries + 1):
             rng = _stream(seed, round_index, k)
             candidate = reduce_step(a, s, rng, emd_iterations)
-            attempts += 1
             if candidate is None:
                 log.append((s, k, 0, None))
                 continue
@@ -152,7 +132,7 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
     return SelectionReport(
         tau=tau_star,
         accepted_metric=best_metric,
-        attempts=attempts,
+        attempts=len(log),
         per_round_log=log,
         seed=seed,
     )

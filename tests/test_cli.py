@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +139,31 @@ def test_domain_error_exit_3(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "kt", str(tmp_path / "absent.csv"))
     assert code == 3
+
+
+@pytest.mark.parametrize("case", ["unwritable-output", "directory-input", "undecodable-input"])
+def test_io_failures_exit_3_without_a_traceback(tmp_path, case):
+    # Each once crashed with a traceback and exit 1.
+    csv = tmp_path / "m.csv"
+    csv.write_text("1,0\n0,1\n")
+    if case == "unwritable-output":
+        named = tmp_path / "missing-dir" / "x.json"
+        argv = [str(csv), "--output", str(named)]
+    elif case == "directory-input":
+        named = tmp_path
+        argv = [str(named)]
+    else:
+        named = tmp_path / "latin1.csv"
+        named.write_bytes(b"\xff1,0\n0,1\n")
+        argv = [str(named)]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "colsel", "oracle", "--kind", "inf2", *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert str(named) in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_standardize_flag_repairs_input(capsys, tmp_path):

@@ -52,6 +52,15 @@ def test_csv_empty_file(tmp_path):
     assert info.value.code == "empty"
 
 
+def test_undecodable_file_is_a_parse_error(tmp_path):
+    # A UnicodeDecodeError once escaped the CLI with a traceback.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"\xff1,0\n0,1\n")
+    with pytest.raises(ParseError, match="latin1.csv: not UTF-8 text") as info:
+        load_matrix(str(path))
+    assert info.value.code == "encoding"
+
+
 def test_matrix_market_array_column_major(tmp_path):
     text = "%%MatrixMarket matrix array real general\n2 2\n1\n0\n0\n1\n"
     path = write(tmp_path, "i2.mtx", text)
@@ -93,6 +102,7 @@ def test_matrix_market_unsupported_qualifiers(tmp_path):
         "%%MatrixMarket matrix array complex general\n1 1\n1 0\n",
         "%%MatrixMarket matrix array real symmetric\n1 1\n1\n",
         "%%MatrixMarket matrix coordinate pattern general\n1 1 1\n1 1\n",
+        "%%MatrixMarket matrix dense real general\n1 1\n1\n",
     ]
     for i, text in enumerate(cases):
         path = write(tmp_path, f"u{i}.mtx", text)
@@ -102,26 +112,23 @@ def test_matrix_market_unsupported_qualifiers(tmp_path):
 
 
 def test_matrix_market_errors(tmp_path):
-    path = write(tmp_path, "nobanner.mtx", "1 2\n3 4\n")
-    with pytest.raises(ParseError) as info:
-        load_matrix(path)
-    assert info.value.code == "mm-header"
-
-    path = write(
-        tmp_path, "count.mtx", "%%MatrixMarket matrix array real general\n2 2\n1\n"
-    )
-    with pytest.raises(ParseError) as info:
-        load_matrix(path)
-    assert info.value.code == "mm-count"
-
-    path = write(
-        tmp_path,
-        "range.mtx",
-        "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
-    )
-    with pytest.raises(ParseError) as info:
-        load_matrix(path)
-    assert info.value.code == "mm-entry"
+    array = "%%MatrixMarket matrix array real general\n"
+    coordinate = "%%MatrixMarket matrix coordinate real general\n"
+    cases = [  # text, code, line
+        ("1 2\n3 4\n", "mm-header", 1),
+        ("%%MatrixMarket tensor array real general\n1 1\n1\n", "mm-header", 1),
+        (array + "% no size line\n", "mm-size", None),
+        (coordinate + "2 2\n1 1 1.0\n", "mm-size", 2),
+        (array + "0 2\n", "mm-size", 2),
+        (array + "2 2\n1\n", "mm-count", None),
+        (coordinate + "2 2 2\n1 1 1.0\n", "mm-count", None),
+        (coordinate + "2 2 1\n3 1 1.0\n", "mm-entry", 3),
+    ]
+    for i, (text, code, line) in enumerate(cases):
+        path = write(tmp_path, f"e{i}.mtx", text)
+        with pytest.raises(ParseError) as info:
+            load_matrix(path)
+        assert (info.value.code, info.value.line) == (code, line), text
 
 
 @pytest.mark.parametrize(

@@ -19,9 +19,9 @@ from colsel import (
     standardize,
 )
 from colsel import montecarlo
+from colsel.errors import _stream
 from colsel.exact import _batched_norms
 from colsel.montecarlo import _draws
-from colsel.select import _stream
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
 

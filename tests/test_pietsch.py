@@ -206,8 +206,9 @@ def test_optimal_alpha_brackets_exact_norm():
         assert witness_norm == pytest.approx(bracket.alpha_lo, rel=1e-9)
 
 
-def test_optimal_alpha_budget_exhaustion_flagged():
-    bracket = pietsch_optimal_alpha(np.eye(3), max_probes=0)
+def test_optimal_alpha_budget_exhaustion_flagged(monkeypatch):
+    monkeypatch.setattr(colsel.factor, "MAX_PROBES", 0)
+    bracket = pietsch_optimal_alpha(np.eye(3))
     assert not bracket.converged
     assert bracket.best is None
 
@@ -491,13 +492,12 @@ def test_solves_validate_their_input_once(monkeypatch):
     for module in (colsel.linalg, colsel.pietsch, colsel.grothendieck):
         monkeypatch.setattr(module, "as_matrix", counting_as_matrix)
     monkeypatch.setattr(colsel.factor, "emd_minimize", counting_emd_minimize)
+    monkeypatch.setattr(colsel.factor, "MAX_PROBES", 1)
     g = hollow_gram(standardize(np.random.default_rng(0).standard_normal((5, 8))))
     b = np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])  # uniform weights are infeasible
     solves = {
         "groth_factorize": lambda budget: groth_factorize(g, 0.5 * norm_inf1_exact(g)[0], budget),
-        "pietsch_optimal_alpha": lambda budget: pietsch_optimal_alpha(
-            b, emd_budget=budget, max_probes=1
-        ),
+        "pietsch_optimal_alpha": lambda budget: pietsch_optimal_alpha(b, emd_budget=budget),
     }
     for name, solve in solves.items():
         counts = []

@@ -1,5 +1,5 @@
-"""Every integer setting, tolerance, standardization and ascent-start rule
-has one owner in the library, and the CLI repeats none of them.
+"""Every integer setting, tolerance, standardization, shape and ascent-start
+rule has one owner in the library, and the CLI repeats none of them.
 
 Each row of ``REFUSALS`` is a library call that must raise
 :class:`DomainError` and, where a flag carries the value, the same input
@@ -19,10 +19,12 @@ from colsel import (
     check_inf1_reduction,
     check_inf2_reduction,
     cli,
+    dumps_report,
     groth_factorize,
     groth_optimal_alpha,
     hollow_gram,
     kt_select,
+    load_matrix,
     pietsch_factorize,
     pietsch_optimal_alpha,
     sample_projector,
@@ -53,6 +55,8 @@ def _selection_rows():
                       [command, "--seed", str(seed), "eye"], "seed")
         yield row(f"{command}-seed-2.9", lambda select=select: select(EYE, seed=2.9),
                   match="seed must be an integer")
+        yield row(f"{command}-no-columns", lambda select=select: select(np.zeros((3, 0))),
+                  match="A must have at least one column")
 
 
 def _experiment_rows():
@@ -115,8 +119,16 @@ def _ascent_rows():
                   match="must have at least one column")
 
 
+def _io_rows():
+    # --format has argparse choices, so only the library sees an unknown format.
+    yield row("load-matrix-format-tsv", lambda: load_matrix("m.tsv", fmt="tsv"),
+              match="unknown matrix format 'tsv'")
+    yield row("dumps-report-object", lambda: dumps_report(object()),
+              match="cannot serialize object into a report")
+
+
 REFUSALS = [*_selection_rows(), *_experiment_rows(), *_budget_rows(), *_standardization_rows(),
-            *_ascent_rows()]
+            *_ascent_rows(), *_io_rows()]
 
 
 @pytest.fixture

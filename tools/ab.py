@@ -12,9 +12,12 @@ change first in odd ones, so drift on a shared host falls on both sides.
 For every end-to-end metric of the change's ``BENCHMARK.json`` the tool
 prints each side's median and quartiles, the median per-pair ratio
 ``change / base`` with its quartiles, and the number of pairs the change
-won (strictly better in the metric's direction).  The last line of
-standard output is one JSON object with every run's metrics.  The exit
-status is 1 if any run is not ``correct``.
+won (strictly better in the metric's direction).  Under the table it prints
+each side's median ``job_samples`` and ``job_tail_percentile`` (from each
+run's ``detail`` line), so a ``job_tail_ms`` claim can state how many
+latencies its tail was read from.  The last line of standard output is one
+JSON object with every run's metrics and, under ``"tail"``, those medians.
+The exit status is 1 if any run is not ``correct``.
 """
 
 import argparse
@@ -25,15 +28,27 @@ import sys
 from pathlib import Path
 
 
+# detail fields that say what job_tail_ms was read from
+TAIL_DETAIL = ("job_samples", "job_tail_percentile")
+
+
 def run_once(checkout, args):
-    """The last JSON line of one ``perfbench/run.py --trace 0`` run."""
+    """The last JSON line of one ``perfbench/run.py --trace 0`` run, with the
+    ``detail`` line before it under ``"detail"``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", args.workload,
             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or len(lines) < 2:
         sys.exit(f"error: {checkout}: exit {done.returncode}\n{done.stderr.strip()}")
-    return json.loads(lines[-1])
+    run = json.loads(lines[-1])
+    run["detail"] = json.loads(lines[-2])["detail"]
+    return run
+
+
+def tail_detail(runs):
+    """The median of each ``TAIL_DETAIL`` field over one side's runs."""
+    return {key: statistics.median(r["detail"][key] for r in runs) for key in TAIL_DETAIL}
 
 
 def quartiles(values):
@@ -104,8 +119,12 @@ def main():
             for side in order), file=sys.stderr, flush=True)
 
     rows = summarize(metrics, runs["base"], runs["change"])
+    tails = {side: tail_detail(side_runs) for side, side_runs in runs.items()}
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s runs")
     print_table(rows, args.pairs)
+    for side, t in tails.items():
+        print(f"{side} job_tail_ms: median {t['job_samples']:g} job samples per run, "
+              f"percentile {t['job_tail_percentile']:g}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     print(json.dumps({
         "workload": args.workload,
@@ -114,6 +133,7 @@ def main():
         "pairs": args.pairs,
         "correct": correct,
         "summary": rows,
+        "tail": tails,
         "base": [r["metrics"] for r in runs["base"]],
         "change": [r["metrics"] for r in runs["change"]],
     }))
