@@ -118,7 +118,7 @@ def _selection_result(report, a, metric_key):
         "stable_rank": sr,
         "cardinality_ratio": report.tau.size / sr,
         "attempts": report.attempts,
-        "per_round_log": [list(entry) for entry in report.per_round_log],
+        "per_round_log": report.per_round_log,
         "seed": report.seed,
     }
 

@@ -28,8 +28,9 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _require_count(value, name, low):
-    """``value`` as an ``int`` of at least ``low``, else :class:`DomainError`.
+def _require_count(value, name, low, high=None):
+    """``value`` as an ``int`` of at least ``low`` and, when ``high`` is given,
+    at most ``high``, else :class:`DomainError`.
     An integer is what :func:`operator.index` accepts: NumPy ints pass, floats fail."""
     try:
         count = operator.index(value)
@@ -37,6 +38,8 @@ def _require_count(value, name, low):
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
     if count < low:
         raise DomainError(f"{name} must be at least {low}, got {value!r}")
+    if high is not None and count > high:
+        raise DomainError(f"{name} must be at most {high}, got {value!r}")
     return count
 
 

@@ -8,9 +8,10 @@ underscores.  Dense matrices only, refused above ``MAX_ENTRIES``
 entries.  Coordinate indices must be decimal integers and no position may
 be given twice (in symmetric files, counting the mirrored position).
 
-Reports are serialized with sorted keys, floats printed to 17 significant
-digits (round-trip exact for doubles), non-finite floats as ``null``, and a
-trailing newline, so identical inputs produce byte-identical files.
+Reports are serialized by ``json`` with sorted keys, each float in the
+shortest text that reads back as the same double, non-finite floats as
+``null``, and a trailing newline, so identical inputs produce byte-identical
+files.
 """
 
 import dataclasses
@@ -248,59 +249,34 @@ def load_matrix(path, fmt=None):
     return a
 
 
-def _format_float(x):
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    out = format(float(x), ".17g")
-    if not any(c in out for c in ".eE"):
-        out += ".0"
-    return out
+def _plain(obj):
+    """``obj`` as the plain data ``json`` writes: lists, ``str`` keys, Python
+    numbers, and ``None`` for a non-finite float."""
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (np.bool_, np.integer)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return _plain(obj.tolist())
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
 
 
 def dumps_report(obj):
-    """Serialize to deterministic JSON: sorted keys, 17-digit floats.
+    """Serialize to deterministic JSON: sorted keys, shortest round-trip floats.
 
     Arrays and tuples become lists, numpy scalars Python numbers, and
-    dataclasses objects of their fields; keys are sorted by ``str(key)``.
+    dataclasses objects of their fields; keys become strings, and
+    non-finite floats ``null``.
     """
-    pieces = []
-    _emit(obj, pieces)
-    return "".join(pieces) + "\n"
-
-
-def _emit(obj, out):
-    if isinstance(obj, (float, np.floating)):
-        out.append(_format_float(obj))
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, k in enumerate(sorted(obj, key=str)):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(str(k)))
-            out.append(": ")
-            _emit(obj[k], out)
-        out.append("}")
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out)
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
-    else:
-        raise DomainError(f"cannot serialize {type(obj).__name__} into a report")
+    return json.dumps(_plain(obj), sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_report(report, path=None):

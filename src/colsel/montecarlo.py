@@ -36,6 +36,8 @@ from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
 from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
 
 MIN_TRIALS = 100
+# keeps the trial-values array within the 80 MB that io.MAX_ENTRIES allows an input
+MAX_TRIALS = 10**7
 # trials drawn before each batched scoring; bounds the memory of the draws
 _TRIAL_CHUNK = 1024
 # absorbs summation rounding when the estimate sits exactly on its bound
@@ -127,7 +129,8 @@ def _result(values, bound, model, delta, fitted_constant=None, *, judged=True):
 def _check_experiment(a, delta, trials, seed):
     """The checked ``(a, trials, seed)`` of an experiment."""
     _require_delta(delta)
-    return as_matrix(a, "A"), _require_count(trials, "trials", MIN_TRIALS), _require_seed(seed)
+    return (as_matrix(a, "A"), _require_count(trials, "trials", MIN_TRIALS, MAX_TRIALS),
+            _require_seed(seed))
 
 
 def check_inf2_reduction(a, delta, trials, seed=0):

@@ -166,6 +166,21 @@ def test_io_failures_exit_3_without_a_traceback(tmp_path, case):
     assert "Traceback" not in done.stderr
 
 
+def test_enormous_trials_exit_3_without_a_traceback(tmp_path):
+    # Once died in np.empty(trials) with "Unable to allocate 72.8 TiB" and exit 1.
+    eye = tmp_path / "eye4.csv"
+    eye.write_text("\n".join(",".join("1" if i == j else "0" for j in range(4))
+                             for i in range(4)) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "colsel", "experiment", "--kind", "inf2",
+                           "--delta", "0.5", "--trials", "10000000000000", str(eye)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and "trials" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
 def test_standardize_flag_repairs_input(capsys, tmp_path):
     nonstd = tmp_path / "nonstd.csv"
     nonstd.write_text("2,0\n0,1\n")

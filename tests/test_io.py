@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import colsel.io
 from colsel import DomainError, ParseError, dumps_report, load_matrix, write_report
@@ -217,6 +218,84 @@ def test_dumps_report_numpy_and_dataclass():
 def test_dumps_report_deterministic():
     report = {"x": math.sqrt(2), "y": [1, 2, 3], "z": {"k": 0.1}}
     assert dumps_report(report) == dumps_report(report)
+
+
+@dataclasses.dataclass
+class _Record:
+    name: str
+    value: object
+
+
+def _expected(x):
+    """What a report of ``x`` reads back as, converted without ``colsel``."""
+    if isinstance(x, np.ndarray):
+        return _expected(x[()]) if x.ndim == 0 else [_expected(v) for v in x]
+    if isinstance(x, np.generic):
+        return _expected(x.item())
+    if isinstance(x, float):
+        return None if x != x or abs(x) == math.inf else x
+    if isinstance(x, (list, tuple)):
+        return [_expected(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _expected(v) for k, v in x.items()}
+    if isinstance(x, _Record):
+        return {k: _expected(v) for k, v in vars(x).items()}
+    return x
+
+
+def _assert_same(got, want):
+    # Bit for bit, and bool, int and float apart (True == 1 == 1.0 in Python).
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, dict):
+        assert list(got) == sorted(want)
+        for k in want:
+            _assert_same(got[k], want[k])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
+
+
+_REPORT_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=5),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3)),
+)
+_REPORTS = st.recursive(
+    _REPORT_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)), children,
+                        max_size=4),
+        st.builds(_Record, st.text(max_size=3), children),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_REPORTS)
+@example(report={"b": [math.nan, -math.inf, 0.1], 10: np.array([[1.5, math.inf]]), "9": ()})
+@example(report={1: "int key", "1": "str key"})
+def test_dumps_report_is_json_of_the_plain_report(report):
+    text = dumps_report(report)
+    # json.loads keeps the text's key order, which _assert_same holds sorted.
+    _assert_same(json.loads(text), _expected(report))
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert dumps_report(json.loads(text)) == text
 
 
 def test_write_report_file_and_newline(tmp_path):

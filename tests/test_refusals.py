@@ -69,6 +69,10 @@ def _experiment_rows():
         yield row(f"{kind}-trials-150.5",
                   lambda check=check: check(DOUBLE_ID, 0.5, 150.5, seed=0),
                   match="trials must be an integer")
+        # np.empty(trials) once died allocating 72.8 TiB, with a traceback.
+        yield row(f"{kind}-trials-10**13",
+                  lambda check=check: check(DOUBLE_ID, 0.5, 10**13, seed=0),
+                  argv[:-1] + [str(10**13), "dblid"], "trials must be at most 10000000")
     # sample_projector once let numpy's ValueError (negative n) and
     # TypeError (float n) escape.
     for model, n, match in (("P", -3, "n must be at least 0"), ("R", 2.5, "n must be an integer")):
@@ -183,6 +187,8 @@ def test_experiment_seed_is_refused_before_the_full_matrix_oracle(monkeypatch):
             check(DOUBLE_ID, 0.5, 100, seed=-1)
         with pytest.raises(DomainError, match="trials"):
             check(DOUBLE_ID, 0.5, 150.5, seed=0)
+        with pytest.raises(DomainError, match="trials"):
+            check(DOUBLE_ID, 0.5, 10**13, seed=0)
 
 
 def test_ascent_starts_read_zeros_as_plus_one():

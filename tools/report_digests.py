@@ -12,7 +12,9 @@ this checkout's ``src``.  Each line reads ``workload/seed/job sha256``, where
 checkouts print the same lines exactly when every report, ``config``
 included, is byte-identical, so comparing a change with its parent is a
 ``diff`` of two outputs.  Digests are not committed: BLAS builds differ in
-the last bits.  The exit status is 1 if any job exits nonzero.
+the last bits.  Each report must also read back to its own text
+(``dumps_report(json.loads(text)) == text``).  The exit status is 1 if any
+job exits nonzero or any report fails that check.
 """
 
 import os
@@ -26,6 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -36,7 +39,7 @@ sys.dont_write_bytecode = True  # read perfbench/ without writing into it
 
 import workloads  # noqa: E402
 
-from colsel import cli  # noqa: E402
+from colsel import cli, dumps_report  # noqa: E402
 
 SEEDS = (*range(1, 11), 90017)
 
@@ -56,11 +59,16 @@ def main():
                     out, err = io.StringIO(), io.StringIO()
                     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                         code = cli.main(argv)
+                    text = out.getvalue()
                     if code != 0:
                         failed += 1
                         print(f"{name}/{seed}/{index}: exit {code}: {err.getvalue().strip()}",
                               file=sys.stderr)
-                    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+                    elif dumps_report(json.loads(text)) != text:
+                        failed += 1
+                        print(f"{name}/{seed}/{index}: the report does not read back to "
+                              "its own text", file=sys.stderr)
+                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
                     print(f"{name}/{seed}/{index} {digest}", flush=True)
     return 1 if failed else 0
 
