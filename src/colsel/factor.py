@@ -9,12 +9,14 @@ alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
 the bracket ``constant``, ``name`` (the input's name in messages), ``level``
 (``alpha^p``), ``pairs(f)`` (the top eigenpair of each branch at ``level``,
 solved to ``linalg.EIG_TOL``: one branch for Pietsch, two for Grothendieck),
-``improve(x)`` (sign-witness ascent) and ``split(d)``/``join(t, d)`` (``T``
-from ``D``, and the input back from both).  The base class derives the
-evaluation ``program(f)`` (the attaining branch's value and subgradient) and
-``certified(f)`` (an upper bound on ``lambda(f)``).  Both solve through one
-memo of the program's last point, so a certificate asked for at the point
-just evaluated makes no eigensolve (see :class:`EigenProgram`).
+``improve(x)`` (sign-witness ascent), ``split(d)``/``join(t, d)`` (``T``
+from ``D``, and the input back from both) and ``t_norm(t, d)`` (the measured
+``||T||``).  The base class derives the evaluation ``program(f)`` (the
+attaining branch's value and subgradient) and ``certified(f)`` (an upper
+bound on ``lambda(f)``).  Both solve through one memo of the program's last
+point, so a certificate asked for at the point just evaluated makes no
+eigensolve (see :class:`EigenProgram`).  The base ``t_norm`` solves the Gram
+of ``T``; a program may read it from a spectrum it already holds instead.
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -42,7 +44,7 @@ import numpy as np
 
 from .emd import SubgradientSample, emd_minimize
 from .errors import DomainError, SolverError, _require_budget
-from .linalg import _ldexp, _unit_scaled, frobenius_norm, spectral_norm
+from .linalg import _ldexp, _spectral_norm, _unit_scaled, frobenius_norm
 
 # Only exactly-zero weights (mirror-descent underflow) take the
 # pseudoinverse zero-column path; a certified nonpositive objective forces
@@ -95,6 +97,10 @@ class EigenProgram:
     def certified(self, f):
         """Upper bound on the value at ``f``: the largest branch value plus residual."""
         return max(p.value + p.residual for p in self._solved(f))
+
+    def t_norm(self, t, d):
+        """The measured ``||T||`` of the factor ``t = split(d)``."""
+        return _spectral_norm(t)
 
 
 @dataclass
@@ -272,8 +278,7 @@ def _build(objective, a, fro, f, alpha, eta):
             f"reconstruction residual {recon:.3g} exceeds tolerance; "
             "zero weights do not match zero columns"
         )
-    t_norm = spectral_norm(t)
-    return Factorization(d, t, alpha_eff, float(eta), recon, t_norm)
+    return Factorization(d, t, alpha_eff, float(eta), recon, objective.t_norm(t, d))
 
 
 def _bracket(program, a, rel_tol, emd_budget, factorize):

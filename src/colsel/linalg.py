@@ -5,6 +5,8 @@ The public functions validate anything convertible to a 2-d float ndarray
 and treat inputs as immutable.  The eigen kernel :func:`_top_pair` trusts
 its caller, a solver passing an array it built; :func:`max_eig_pair` checks
 and calls it, and all it backs inherits its residual-based accuracy contract.
+:func:`_spectral_norm` is :func:`spectral_norm` on that kernel, for a factor
+a solver built.
 """
 
 import math
@@ -136,14 +138,19 @@ def _require_residual(resid, frobenius):
 
 def spectral_norm(a):
     """Largest singular value, via the extreme eigenpair of the Gram matrix."""
-    a = as_matrix(a)
+    return _spectral_norm(as_matrix(a), max_eig_pair)
+
+
+def _spectral_norm(a, top_pair=_top_pair):
+    """:func:`spectral_norm` of a finite 2-d float array, by default without
+    the checks of :func:`max_eig_pair`: the Gram it builds is symmetric by
+    construction, so the bits are the same."""
     if a.size == 0:
         return 0.0
     a, e = _unit_scaled(a)
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
-    pair = max_eig_pair(gram)
-    return _ldexp(math.sqrt(max(pair.value, 0.0)), e)
+    return _ldexp(math.sqrt(max(top_pair(gram).value, 0.0)), e)
 
 
 def stable_rank(a):

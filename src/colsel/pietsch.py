@@ -8,10 +8,12 @@ is within the constant ``K_P = sqrt(pi/2)`` for the real field.
 
 Every eigenvalue the module needs comes from :meth:`PietschObjective.pairs`.
 Constant weights make the shift ``alpha^2 diag(f)`` a multiple ``c I`` of
-the identity; when ``B`` also has fewer rows than columns, the top pair is
-taken from the small Gram ``B B^T``, which shares the nonzero spectrum of
-``B^T B``, and the ``s x s`` Gram is formed only for the first non-constant
-``f``.
+the identity, so the top pair is that of the level-free Gram ``B^T B``
+moved by ``-c``.  A program solves that level-free Gram once and keeps its
+top pair; when ``B`` has fewer rows than columns it solves the small Gram
+``B B^T``, which shares the nonzero spectrum of ``B^T B``.  The held pair
+also gives the factor norm at constant weights, ``||T|| = ||B|| / d_0``.
+The ``s x s`` Gram is formed only for the first non-constant ``f``.
 """
 
 import math
@@ -39,12 +41,14 @@ PietschFactorization = Factorization
 class PietschObjective(EigenProgram):
     """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``, one branch.
 
-    For constant weights on an ``m x s`` matrix with ``m < s`` the shift is
-    ``c I``, ``c = alpha^2 f_0``: the top pair ``(mu, v)`` of the ``m x m``
-    Gram ``B B^T`` gives ``lambda = mu - c`` and ``u = B^T v / ||B^T v||``.
-    Every other ``f`` uses the ``s x s`` Gram ``B^T B``, formed on first use.
-    The class is the Pietsch program of :mod:`colsel.factor`.  ``B`` and
-    ``alpha`` are trusted; outside input goes through :func:`pietsch_objective`.
+    For constant weights the shift is ``c I``, ``c = alpha^2 f_0``, and the
+    branch is ``(mu - c, u)`` for the top pair ``(mu, u)`` of the level-free
+    Gram, solved once per program: ``B^T B``, or for an ``m x s`` matrix with
+    ``m < s`` the ``m x m`` Gram ``B B^T``, whose top vector ``v`` gives ``u =
+    B^T v / ||B^T v||``.  Every other ``f`` uses the ``s x s`` Gram ``B^T B``,
+    formed on first use.  The class is the Pietsch program of
+    :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted; outside input goes
+    through :func:`pietsch_objective`.
     """
 
     power = 2
@@ -55,48 +59,39 @@ class PietschObjective(EigenProgram):
         self.b = b
         self.level = alpha**2
         self._gram = None
-        self._short = None
+        self._flat = None  # top pair of the level-free Gram
 
     def pairs(self, f):
         """The top eigenpair of ``B^T B - level diag(f)`` with its residual.
 
         The residual ``||H u - lambda u||_2`` is measured on the ``s x s``
-        problem and held to ``EIG_TOL * max(1, ||H||_F)`` on either path.
+        problem and held to ``EIG_TOL * max(1, ||H||_F)``, where ``H`` is the
+        level-free Gram ``B^T B`` for constant ``f`` (``||B B^T||_F`` equals
+        ``||B^T B||_F``) and the shifted one otherwise.
         """
         f = np.asarray(f, dtype=float)
-        m, s = self.b.shape
-        if m < s and f.max() == f.min():
-            return (self._short_side_pair(self.level * float(f[0])),)
-        if self._gram is None:
-            self._gram = self.b.T @ self.b
-        h = self._gram.copy()
-        idx = np.arange(s)
+        if f.max() == f.min():
+            if self._flat is None:
+                m, s = self.b.shape
+                self._flat = _top_pair(self._column_gram()) if m >= s else _short_side_pair(self.b)
+            top = self._flat
+            return (EigPair(top.value - self.level * float(f[0]), top.vector, top.residual),)
+        h = self._column_gram().copy()
+        idx = np.arange(f.size)
         h[idx, idx] -= self.level * f
         return (_top_pair(h),)
 
-    def _short_side_pair(self, c):
-        b = self.b
-        if self._short is None:
-            self._short = b @ b.T
-        k = self._short
-        top = _top_pair(k)
-        w = b.T @ top.vector
-        norm_w = math.sqrt(float(w @ w))
-        if norm_w > 0.0:
-            u = w / norm_w
-        else:  # B B^T vanished: take e_0 and let the residual judge it
-            u = np.zeros(b.shape[1])
-            u[0] = 1.0
-        r = b.T @ (b @ u) - top.value * u
-        resid = math.sqrt(float(r @ r))
+    def t_norm(self, t, d):
+        """``||T||``; at constant ``d`` it is ``sqrt(mu) / d_0`` for the held top
+        value ``mu`` of ``B^T B``, as ``T = B / d_0``."""
+        if self._flat is not None and d.max() == d.min():
+            return math.sqrt(max(self._flat.value, 0.0)) / float(d[0])
+        return super().t_norm(t, d)
 
-        def frobenius():
-            # ||B^T B - c I||_F^2 = ||B B^T||_F^2 - 2 c ||B||_F^2 + s c^2, exactly.
-            fro_sq = float(np.sum(k * k)) - 2.0 * c * float(np.sum(b * b)) + b.shape[1] * c * c
-            return math.sqrt(max(fro_sq, 0.0))
-
-        _require_residual(resid, frobenius)
-        return EigPair(top.value - c, u, resid)
+    def _column_gram(self):
+        if self._gram is None:
+            self._gram = self.b.T @ self.b
+        return self._gram
 
     def improve(self, x):
         return improve_sign_witness_inf2(self.b, x)
@@ -110,6 +105,23 @@ class PietschObjective(EigenProgram):
     def join(self, t, d):
         """``T D``."""
         return t * d
+
+
+def _short_side_pair(b):
+    """The top pair of ``B^T B`` for a wide ``B``, from the ``m x m`` Gram ``B B^T``."""
+    k = b @ b.T
+    top = _top_pair(k)
+    w = b.T @ top.vector
+    norm_w = math.sqrt(float(w @ w))
+    if norm_w > 0.0:
+        u = w / norm_w
+    else:  # B B^T vanished: take e_0 and let the residual judge it
+        u = np.zeros(b.shape[1])
+        u[0] = 1.0
+    r = b.T @ (b @ u) - top.value * u
+    resid = math.sqrt(float(r @ r))
+    _require_residual(resid, lambda: math.sqrt(float(np.sum(k * k))))
+    return EigPair(top.value, u, resid)
 
 
 def pietsch_objective(b, alpha, f):

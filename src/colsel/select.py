@@ -20,6 +20,7 @@ independent and could run in parallel without changing the result.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,10 +100,12 @@ def _size_schedule(n):
     return sizes
 
 
-def _doubling_search(a, seed, emd_iterations, reduce_step, metric, limit):
-    """Accepts a candidate whose re-measured ``metric`` is at most ``limit``."""
-    if not limit > 0:  # written so that a NaN threshold is refused too
-        raise DomainError("threshold must be positive")
+def _doubling_search(a, seed, emd_iterations, reduce_step, metric, threshold, slack=1.0):
+    """Accepts a candidate whose re-measured ``metric`` is at most
+    ``threshold * slack``; the threshold must be finite and positive."""
+    if not 0.0 < threshold < math.inf:  # written so that a NaN threshold is refused too
+        raise DomainError(f"threshold must be finite and positive, got {threshold!r}")
+    limit = min(threshold * slack, sys.float_info.max)  # the slack must not reach inf
     seed = _require_seed(seed)
     a = _require_standardized(a)
     n = a.shape[1]
@@ -159,4 +162,4 @@ def bt_select(
     on a re-measured condition number.  Always returns at least column 0.
     """
     return _doubling_search(a, seed, emd_iterations, cond_reduce, condition_number,
-                            threshold * (1.0 + _KAPPA_SLACK))
+                            threshold, 1.0 + _KAPPA_SLACK)

@@ -357,7 +357,7 @@ def test_experiment_delta_outside_the_unit_interval_exit_3(capsys, hadamard_csv,
 
 
 @pytest.mark.parametrize("command", ["kt", "bt"])
-@pytest.mark.parametrize("threshold", ["nan", "0", "-1"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
 def test_threshold_must_be_positive_exit_3(capsys, hadamard_csv, command, threshold):
     # A NaN threshold once returned a one-column selection with exit 0.
     code, out, err = run_cli(capsys, command, "--threshold", threshold, hadamard_csv)

@@ -7,10 +7,10 @@ kernel looks up at each call.
 import numpy as np
 import pytest
 
-import colsel.factor
 import colsel.grothendieck
 import colsel.pietsch
 from colsel import (
+    PIETSCH_CONSTANT,
     SolverError,
     groth_factorize,
     groth_optimal_alpha,
@@ -96,45 +96,79 @@ def test_bracket_ascends_only_from_its_start(monkeypatch, module, ascent, optima
 
 
 def _solvers():
+    # The Pietsch inputs take both ||T|| paths: a 5x7 Gaussian at alpha 10
+    # ends infeasible at non-constant weights (the Gram of T is solved); a
+    # tenth of it is feasible at the uniform start (the held spectrum is read).
     b = np.random.default_rng(4).standard_normal((5, 7))
     return [
-        pytest.param(pietsch_factorize, b, id="pietsch"),
-        pytest.param(groth_factorize, hollow_gram(standardize(b)), id="groth"),
+        pytest.param(pietsch_factorize, PietschObjective, b, False, id="pietsch"),
+        pytest.param(pietsch_factorize, PietschObjective, 0.1 * b, True, id="pietsch-constant"),
+        pytest.param(groth_factorize, GrothObjective, hollow_gram(standardize(b)), False,
+                     id="groth"),
     ]
 
 
-@pytest.mark.parametrize("factorize, a", _solvers())
-def test_a_factor_norm_past_its_certificate_is_rebuilt(monkeypatch, factorize, a):
+@pytest.mark.parametrize("factorize, program, a, constant", _solvers())
+def test_a_factor_norm_past_its_certificate_is_rebuilt(monkeypatch, factorize, program, a,
+                                                       constant):
     # The measured ||T|| is taken past alpha_effective once: eta absorbs the
     # excess and the rebuilt factor passes.
     calls = []
-    spectral_norm = colsel.factor.spectral_norm
+    t_norm = program.t_norm
 
-    def inflated_once(t):
+    def inflated_once(self, t, d):
         calls.append(t)
-        return 1e3 if len(calls) == 1 else spectral_norm(t)
+        return 1e3 if len(calls) == 1 else t_norm(self, t, d)
 
     plain = factorize(a, 10.0)
-    monkeypatch.setattr(colsel.factor, "spectral_norm", inflated_once)
+    assert np.all(plain.d == plain.d[0]) == constant
+    monkeypatch.setattr(program, "t_norm", inflated_once)
     fact = factorize(a, 10.0)
+    assert np.all(fact.d == fact.d[0]) == constant
     assert len(calls) == 2
     assert fact.eta > plain.eta
     assert 10.0 < fact.alpha_effective
     assert fact.t_norm <= fact.alpha_effective * (1.0 + NORM_SLACK)
 
 
-@pytest.mark.parametrize("factorize, a", _solvers())
-def test_a_factor_norm_past_its_rebuilt_certificate_fails(monkeypatch, factorize, a):
+@pytest.mark.parametrize("factorize, program, a, constant", _solvers())
+def test_a_factor_norm_past_its_rebuilt_certificate_fails(monkeypatch, factorize, program, a,
+                                                          constant):
     calls = []
 
-    def inflated(t):
+    def inflated(self, t, d):
         calls.append(t)
         return 1e3 * len(calls)
 
-    monkeypatch.setattr(colsel.factor, "spectral_norm", inflated)
+    monkeypatch.setattr(program, "t_norm", inflated)
     with pytest.raises(SolverError, match="after rebuild"):
         factorize(a, 10.0)
     assert len(calls) == 2
+
+
+def _wide():
+    # 8 x 32 Gaussian: uniform weights are feasible at alpha = 8 K_P sqrt(s),
+    # the level norm_reduce uses, and its Gram B B^T has order 8.
+    return np.random.default_rng(5).standard_normal((8, 32))
+
+
+def test_a_feasible_wide_factorization_makes_one_eigensolve(eigh_calls):
+    # The evaluation at the uniform start solves B B^T; the certificate
+    # reuses it and ||T|| = ||B|| / d_0 is read from it.
+    b = _wide()
+    fact = pietsch_factorize(b, 8.0 * PIETSCH_CONSTANT * np.sqrt(32))
+    assert fact.eta <= 0.0
+    assert np.all(fact.d == fact.d[0])
+    assert eigh_calls == [8]
+
+
+def test_a_wide_bracket_feasible_at_its_start_makes_two_eigensolves(eigh_calls):
+    # The start's level-0 spectrum and the one probe's evaluation.
+    bracket = pietsch_optimal_alpha(_wide())
+    assert bracket.probes == 1
+    assert bracket.best.eta <= 0.0
+    assert np.all(bracket.best.d == bracket.best.d[0])
+    assert eigh_calls == [8, 8]
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())

@@ -30,6 +30,7 @@ from colsel import (
     spectral_norm,
     standardize,
 )
+from colsel.factor import NORM_SLACK
 from colsel.grothendieck import improve_sign_witness_inf1
 from colsel.linalg import EIG_TOL, STANDARDIZE_ATOL
 from colsel.pietsch import PietschObjective, improve_sign_witness_inf2
@@ -249,6 +250,28 @@ def test_short_side_pair_matches_dense(shape, kind, seed, c_ratio):
         # Each vector is within residual / gap of the top eigenvector.
         diff = np.abs(short.vector**2 - dense.vector**2).max()
         assert diff <= 8.0 * tol * scale / gap
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    s=st.integers(1, 12),
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.sampled_from([0.25, 0.9, 1.1, 4.0]),
+    c=st.sampled_from([1.0, 2.0**-500, 2.0**500]),
+)
+def test_factor_norm_at_constant_weights_is_measured(m, s, seed, ratio, c):
+    # One evaluation keeps the weights uniform: at ratio < 1 the level is
+    # infeasible and the blend stays uniform, at ratio > 1 it is feasible.
+    # Either way ||T|| is read from the held spectrum of the evaluation, on
+    # B B^T (wide) or B^T B (tall), and must match a fresh measurement.
+    b = c * np.random.default_rng(seed).standard_normal((m, s))
+    alpha = ratio * math.sqrt(s) * spectral_norm(b)
+    fact = pietsch_factorize(b, alpha, emd_budget=1)
+    assert np.all(fact.d == fact.d[0])
+    assert (fact.eta <= 0.0) == (ratio > 1.0)
+    assert fact.t_norm == pytest.approx(spectral_norm(fact.t), rel=1e-12, abs=0.0)
+    assert fact.t_norm <= fact.alpha_effective * (1.0 + NORM_SLACK)
 
 
 def test_nonconstant_weights_on_wide_b_match_dense_evaluation():

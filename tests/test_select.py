@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -240,11 +241,18 @@ def test_report_log_shape():
 
 
 @pytest.mark.parametrize("select", [kt_select, bt_select])
-@pytest.mark.parametrize("threshold", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
 def test_threshold_must_be_positive(select, threshold):
     # A NaN threshold was once accepted, and the selection returned column 0.
     with pytest.raises(DomainError, match="threshold"):
         select(DOUBLE_ID_8, seed=0, threshold=threshold)
+
+
+def test_the_kappa_slack_keeps_the_largest_threshold_finite():
+    # threshold * (1 + slack) once overflowed to inf at the largest float,
+    # and bt accepted all 16 columns, duplicates included (kappa = inf).
+    report = bt_select(DOUBLE_ID_8, seed=0, threshold=sys.float_info.max)
+    assert report.accepted_metric <= sys.float_info.max
 
 
 def test_a_size_that_samples_every_column_runs_once():
