@@ -12,8 +12,8 @@ pinned to +1, and the sign vector with code ``c`` has entry ``j + 1`` equal
 to -1 iff bit ``j`` of ``c`` is set.  Up to ``_LOW_COLUMNS`` columns, one
 product ``A X^T`` against the table ``X`` of all codes scores every vector.
 That path (:func:`_stack_norms`) takes a stack of same-shape matrices: a
-single oracle call is a stack of one, and the Monte Carlo experiments
-(:func:`_batched_norms`) score their trials in stacks, with the same bits.
+single oracle call is a stack of one, and the Monte Carlo experiments score
+their stacks of trials through :func:`_stack_values`, with the same bits.
 
 Wider inputs are split (meet in the middle, Horowitz and Sahni 1974): the
 first ``_LOW_COLUMNS`` columns ``A_lo`` give the table ``P = A_lo X_lo^T``
@@ -50,9 +50,10 @@ from .linalg import _ldexp, _unit_scaled, as_matrix
 ENUMERATION_CAP = 20
 # The pinned first column and 12 code bits: a 4096-row low table.
 _LOW_COLUMNS = 13
-# Entries of one scratch array: a block of split scores or of batched images.
+# Entries of one scratch array: a block of split scores or of batched images
+# (4 MB; 8 MB image products raised the benchmark's peak RSS by 10%).
 _BLOCK_ENTRIES = 1 << 18
-_BATCH_ENTRIES = 1 << 20
+_BATCH_ENTRIES = 1 << 19
 _TIE_WINDOW = 1e-12
 
 
@@ -97,12 +98,6 @@ def _inf1_scores(images):
 _SCORES = {"inf2": _inf2_scores, "inf1": _inf1_scores}
 
 
-def _scaled_back(score, e, kind):
-    """The norm of a matrix whose unit-scaled copy (exponent ``e``) has
-    best score ``score``."""
-    return _ldexp(math.sqrt(score) if kind == "inf2" else score, e)
-
-
 def _stack_norms(stack, kind):
     """``(values, codes)``: for each matrix of a ``(K, m, s)`` stack with
     ``1 <= s <= _LOW_COLUMNS``, its norm and the lowest code attaining it.
@@ -121,7 +116,8 @@ def _stack_norms(stack, kind):
         scores = _SCORES[kind](stack[k : k + step] @ table.T)
         codes[k : k + step] = scores.argmax(axis=1)
         tops[k : k + step] = scores.max(axis=1)
-    values = [_scaled_back(float(top), int(e), kind) for top, e in zip(tops, exps)]
+    with np.errstate(over="ignore"):  # saturates to inf, like _ldexp
+        values = np.ldexp(np.sqrt(tops) if kind == "inf2" else tops, exps)
     return values, codes
 
 
@@ -205,10 +201,10 @@ def _exact(mat, kind):
         return 0.0, np.zeros(0)
     if s <= _LOW_COLUMNS:
         values, codes = _stack_norms(mat[None], kind)
-        return values[0], _pinned_table(s)[codes[0]].copy()
+        return float(values[0]), _pinned_table(s)[codes[0]].copy()
     mat, e = _unit_scaled(mat)
     score, x = _split_max(mat, kind)
-    return _scaled_back(score, e, kind), x
+    return _ldexp(math.sqrt(score) if kind == "inf2" else score, e), x
 
 
 def norm_inf2_exact(b):
@@ -227,20 +223,14 @@ def norm_inf1_exact(g):
     return _exact(_check_enumerable(g, "G"), "inf1")
 
 
-def _batched_norms(mats, kind):
+def _stack_values(stack, kind):
     """The values of ``norm_inf2_exact`` or ``norm_inf1_exact`` (``kind``)
-    at each of the checked matrices ``mats``, bit for bit.
+    at each matrix of a checked ``(K, m, k)`` stack, bit for bit.
 
-    Matrices of one shape with 1 to ``_LOW_COLUMNS`` columns go through
-    :func:`_stack_norms` as one stack; the others through the single oracle.
+    With 1 to ``_LOW_COLUMNS`` columns the stack goes through
+    :func:`_stack_norms` as one C-ordered array; otherwise each member goes
+    through the single oracle, in its own memory layout.
     """
-    values = np.empty(len(mats))
-    groups = {}
-    for i, mat in enumerate(mats):
-        groups.setdefault(mat.shape, []).append(i)
-    for (_, s), members in groups.items():
-        if 1 <= s <= _LOW_COLUMNS:
-            values[members] = _stack_norms(np.stack([mats[i] for i in members]), kind)[0]
-        else:
-            values[members] = [_exact(mats[i], kind)[0] for i in members]
-    return values
+    if 1 <= stack.shape[2] <= _LOW_COLUMNS:
+        return _stack_norms(np.ascontiguousarray(stack), kind)[0]
+    return [_exact(mat, kind)[0] for mat in stack]

@@ -20,9 +20,10 @@ wider input before any trial is drawn.  Each model of an experiment draws
 from one stream (``SeedSequence(seed, spawn_key=(stream,))``), making every
 experiment deterministic in the seed.  Trials are drawn ``_TRIAL_CHUNK`` at a
 time as one uniform block, and consecutive blocks of a stream equal one
-large block, so results do not depend on the chunk size.  The submatrices
-of a block are scored in stacks of one shape by the path the single-matrix
-oracles take (``exact._batched_norms``), with the same bits.
+large block, so results do not depend on the chunk size.  A block's rows
+that keep ``k`` coordinates gather their submatrices as one stack, scored by
+the path the single-matrix oracles take (``exact._stack_values``), with the
+same bits; statistics are taken at unit scale, so they scale exactly.
 """
 
 import math
@@ -32,8 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, _require_count, _require_seed, _stream
-from .exact import _batched_norms, norm_inf1_exact, norm_inf2_exact
-from .linalg import as_matrix, frobenius_norm, hollow_gram, is_standardized, stable_rank
+from .exact import _stack_values, norm_inf1_exact, norm_inf2_exact
+from .linalg import (_ldexp, _unit_scaled, as_matrix, frobenius_norm, hollow_gram,
+                     is_standardized, stable_rank)
 
 MIN_TRIALS = 100
 # keeps the trial-values array within the 80 MB that io.MAX_ENTRIES allows an input
@@ -64,17 +66,21 @@ class ExperimentResult:
 
 
 def _trial_values(kind, take, model, n, delta, seed, stream, trials):
-    """Exact ``kind`` norms of ``take(idx)`` over the trials' draws.
+    """Exact ``kind`` norms of the stacks ``take(idx)`` over the trials' draws.
 
-    Draws ``_TRIAL_CHUNK`` trials at a time from the model's one stream,
-    then scores them in batches.
+    Draws ``_TRIAL_CHUNK`` trials at a time from the model's one stream; the
+    rows of a chunk that keep ``k`` coordinates give one ``(rows, k)`` array
+    of sorted indices, whose submatrices ``take`` gathers as one stack.
     """
     rng = _stream(seed, stream)
     values = np.empty(trials)
     for start in range(0, trials, _TRIAL_CHUNK):
-        stop = min(start + _TRIAL_CHUNK, trials)
-        mats = [take(idx) for idx in _draws(model, n, delta, rng, stop - start)]
-        values[start:stop] = _batched_norms(mats, kind)
+        keep = _draws(model, n, delta, rng, min(_TRIAL_CHUNK, trials - start))
+        sizes = keep.sum(axis=1)
+        for k in np.unique(sizes):
+            rows = np.flatnonzero(sizes == k)
+            idx = np.nonzero(keep[rows])[1].reshape(rows.size, k)
+            values[start + rows] = _stack_values(take(idx), kind)
     return values
 
 
@@ -84,25 +90,24 @@ def _require_delta(delta):
 
 
 def _draws(model, n, delta, rng, count):
-    """Sorted indices kept by ``count`` draws of the coordinate projector.
+    """The ``(count, n)`` keep mask of ``count`` draws of the coordinate projector.
 
     One ``(count, n)`` uniform block: ``R_delta`` keeps ``u < delta`` in each
-    row; ``P_delta`` keeps the first ``floor(delta n)`` entries of each row's
-    ``argsort``, a uniform subset of that size.
+    row; ``P_delta`` keeps the entries whose rank in their row is below
+    ``floor(delta n)``, a uniform subset of that size.
     """
     if model not in ("P", "R"):
         raise DomainError(f"unknown sampling model {model!r}")
     u = rng.random((count, n))
     if model == "R":
-        return [np.flatnonzero(row) for row in u < delta]
-    s = math.floor(delta * n)
-    return list(np.sort(np.argsort(u, axis=1)[:, :s], axis=1))
+        return u < delta
+    return np.argsort(np.argsort(u, axis=1), axis=1) < math.floor(delta * n)
 
 
 def sample_projector(model, n, delta, rng):
     """Sorted indices kept by one draw of the coordinate projector."""
     _require_delta(delta)
-    return _draws(model, _require_count(n, "n", 0), delta, rng, 1)[0]
+    return np.flatnonzero(_draws(model, _require_count(n, "n", 0), delta, rng, 1)[0])
 
 
 def _passes(mean, bound, se):
@@ -111,9 +116,10 @@ def _passes(mean, bound, se):
 
 def _result(values, bound, model, delta, fitted_constant=None, *, judged=True):
     """The row of trial ``values`` against ``bound``: their mean and standard
-    error, and ``passed`` by :func:`_passes` (always, for a row not ``judged``)."""
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size))
+    error (at unit scale), and ``passed`` by :func:`_passes` (always, if not ``judged``)."""
+    unit, e = _unit_scaled(values[None])
+    mean = _ldexp(float(unit.mean()), e)
+    se = _ldexp(float(unit.std(ddof=1) / math.sqrt(values.size)), e)
     return ExperimentResult(
         trials=values.size,
         empirical_mean=mean,
@@ -144,10 +150,12 @@ def check_inf2_reduction(a, delta, trials, seed=0):
     a, trials, seed = _check_experiment(a, delta, trials, seed)
     n = a.shape[1]
     inf2_full, _ = norm_inf2_exact(a)
+    if inf2_full == math.inf:  # the bounds, and trial values, would be inf too
+        raise DomainError("A has an (inf->2) norm beyond the float range")
     r_bound = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(a) + delta * inf2_full
 
-    def columns(idx):
-        return a[:, idx]
+    def columns(idx):  # each member laid out as a[:, idx]
+        return a.T[idx].transpose(0, 2, 1)
 
     r_values = _trial_values("inf2", columns, "R", n, delta, seed, 0, trials)
     p_values = _trial_values("inf2", columns, "P", n, delta, seed, 1, trials)
@@ -167,7 +175,8 @@ def check_inf2_reduction(a, delta, trials, seed=0):
 
 def poissonization_check(p_result, r_result):
     """``E_P <= 2 E_R`` with a three-standard-error cushion on both sides."""
-    combined = math.sqrt(p_result.std_error**2 + (2.0 * r_result.std_error) ** 2)
+    errors, e = _unit_scaled(np.array([[p_result.std_error, 2.0 * r_result.std_error]]))
+    combined = _ldexp(math.sqrt(float(np.sum(errors * errors))), e)
     lhs = p_result.empirical_mean
     rhs = 2.0 * r_result.empirical_mean + 3.0 * combined
     return lhs <= rhs, lhs, rhs
@@ -191,7 +200,7 @@ def check_inf1_reduction(a, delta, trials, seed=0, *, regime=False):
     s = int(math.floor(delta * n))
 
     def principal(idx):
-        return h[np.ix_(idx, idx)]
+        return h[idx[:, :, None], idx[:, None, :]]
 
     values = _trial_values("inf1", principal, "P", n, delta, seed, 2, trials)
     mean = float(values.mean())

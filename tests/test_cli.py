@@ -209,6 +209,18 @@ def test_norm_beyond_the_float_range_exit_3(capsys, tmp_path, kind):
     assert "float range" in err
 
 
+@pytest.mark.parametrize("rows", [["1e308,1e308"] * 2, [",".join(["1e307"] * 16)] * 4])
+def test_experiment_beyond_the_float_range_exit_3(capsys, tmp_path, rows):
+    # ||A||_F overflows, or only ||A||_{inf->2} does: trial values then read
+    # inf, and the run once exited 0 with null means and a RuntimeWarning.
+    p = tmp_path / "big.csv"
+    p.write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "experiment", "--kind", "inf2", "--delta", "0.5", str(p))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "float range" in err
+
+
 @pytest.mark.parametrize("command", ["pietsch", "grothendieck"])
 @pytest.mark.parametrize("alpha", ["1e300", "inf", "nan", "0", "-1"])
 def test_alpha_out_of_range_exit_3(capsys, tmp_path, command, alpha):

@@ -20,7 +20,7 @@ from colsel import (
 )
 from colsel import montecarlo
 from colsel.errors import _stream
-from colsel.exact import _batched_norms
+from colsel.exact import _stack_values
 from colsel.montecarlo import _draws
 
 DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
@@ -175,22 +175,27 @@ def test_delta_outside_the_unit_interval_refused(delta):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_batched_norms_equal_the_single_oracles(kind, m, n, scale, seed):
-    # Bit for bit, with empty draws, repeated shapes, draws above the split
-    # and (for inf2) inputs without rows.
+    # Bit for bit, with empty draws, repeated sizes, draws above the split
+    # and (for inf2) inputs without rows; each stack of one size is gathered
+    # as the experiments gather it, against the oracle on each submatrix.
     rng = np.random.default_rng(seed)
     if kind == "inf2":
         a = scale * rng.standard_normal((m, n))
-        take, oracle = (lambda idx: a[:, idx]), norm_inf2_exact
+        take, gather = (lambda idx: a[:, idx]), (lambda idx: a.T[idx].transpose(0, 2, 1))
+        oracle = norm_inf2_exact
     else:
         a = scale * hollow_gram(standardize(rng.standard_normal((m + 1, n))))
-        take, oracle = (lambda idx: a[np.ix_(idx, idx)]), norm_inf1_exact
-    draws = [np.arange(0), np.arange(n)]
-    for _ in range(10):
-        size = int(rng.integers(0, n + 1))
-        draws.append(np.sort(rng.choice(n, size=size, replace=False)))
-    mats = [take(idx) for idx in draws]
-    expected = [oracle(mat)[0] for mat in mats]
-    assert _batched_norms(mats, kind).tolist() == expected
+        take, gather = ((lambda idx: a[np.ix_(idx, idx)]),
+                        (lambda idx: a[idx[:, :, None], idx[:, None, :]]))
+        oracle = norm_inf1_exact
+    keep = rng.random((12, n)) < rng.random((12, 1))
+    keep[:2] = [[False], [True]]
+    sizes = keep.sum(axis=1)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        idx = np.nonzero(keep[rows])[1].reshape(rows.size, k)
+        expected = [oracle(take(row))[0] for row in idx]
+        assert np.asarray(_stack_values(gather(idx), kind)).tolist() == expected
 
 
 def test_experiments_equal_per_trial_oracles():
@@ -204,7 +209,8 @@ def test_experiments_equal_per_trial_oracles():
         (p_res, 1, "P", lambda idx: norm_inf2_exact(a[:, idx])[0]),
         (i_res, 2, "P", lambda idx: norm_inf1_exact(h[np.ix_(idx, idx)])[0]),
     ):
-        values = np.array([value(idx) for idx in _draws(model, 16, 0.8, _stream(3, stream), 100)])
+        values = np.array([value(idx) for idx in
+                           map(np.flatnonzero, _draws(model, 16, 0.8, _stream(3, stream), 100))])
         se = float(values.std(ddof=1) / math.sqrt(values.size))
         assert (res.empirical_mean, res.std_error) == (float(values.mean()), se)
 
@@ -223,7 +229,7 @@ def test_results_do_not_depend_on_the_chunk_size(monkeypatch):
 def test_p_draws_are_uniform_subsets():
     # n = 5, s = 2: the 10 subsets should each appear 300 times in 3000 draws.
     draws = _draws("P", 5, 0.4, _stream(0, 0), 3000)
-    counts = Counter(tuple(idx.tolist()) for idx in draws)
+    counts = Counter(tuple(np.flatnonzero(keep).tolist()) for keep in draws)
     assert sorted(counts) == sorted(itertools.combinations(range(5), 2))
     expected = len(draws) / 10
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -234,7 +240,30 @@ def test_p_draws_are_uniform_subsets():
 def test_r_draws_keep_each_coordinate_with_probability_delta():
     n, delta, count = 12, 0.3, 4000
     kept = np.zeros(n)
-    for idx in _draws("R", n, delta, _stream(0, 1), count):
+    for idx in map(np.flatnonzero, _draws("R", n, delta, _stream(0, 1), count)):
         kept[idx] += 1
     se = math.sqrt(delta * (1 - delta) / count)
     assert np.all(np.abs(kept / count - delta) <= 4 * se)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n=st.integers(1, 10),
+    delta=st.sampled_from([0.3, 0.5, 0.8]),
+    k=st.sampled_from([-600, -1, 1, 600, 990]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_statistics_scale_exactly_with_the_input(m, n, delta, k, seed):
+    # At 2^-600 the squares of the trial values once underflowed (std_error 0)
+    # and at 2^600 they overflowed (std_error inf, with a RuntimeWarning).
+    a = rng_from(seed).standard_normal((m, n))
+    unit = check_inf2_reduction(a, delta, 100, seed=seed)
+    scaled = check_inf2_reduction(math.ldexp(1.0, k) * a, delta, 100, seed=seed)
+    for one, other in zip(unit, scaled):
+        for field in ("empirical_mean", "std_error", "theoretical_bound"):
+            assert getattr(other, field) == math.ldexp(getattr(one, field), k)
+        assert other.passed == one.passed
+    verdict, lhs, rhs = poissonization_check(unit[1], unit[0])
+    assert poissonization_check(scaled[1], scaled[0]) == (
+        verdict, math.ldexp(lhs, k), math.ldexp(rhs, k))
