@@ -32,8 +32,8 @@ is scored again by a direct product on ``A``, and the first maximum of those
 wins.  The reported value is always measured by a direct product at the
 winner.  Both norms are evaluated on the input scaled by a power of two that
 brings its largest entry into ``[0.5, 1)`` (``linalg._unit_scaled``), and
-scaled back; that is exact, so no square or sum overflows and the values
-saturate to ``inf`` beyond the float range.
+scaled back; that is exact, so no square or sum overflows, and a norm beyond
+the float range is refused with :class:`DomainError`.
 
 ``ENUMERATION_CAP`` (20 columns, ``2^19`` sign vectors) is the one limit on
 the input: the CLI and the experiments refuse wider inputs through it.
@@ -45,7 +45,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .linalg import _ldexp, _unit_scaled, as_matrix
+from .linalg import _scaled_back, _unit_scaled, as_matrix
 
 ENUMERATION_CAP = 20
 # The pinned first column and 12 code bits: a 4096-row low table.
@@ -199,12 +199,14 @@ def _exact(mat, kind):
     s = mat.shape[1]
     if s == 0:
         return 0.0, np.zeros(0)
+    mat, e = _unit_scaled(mat)
     if s <= _LOW_COLUMNS:
         values, codes = _stack_norms(mat[None], kind)
-        return float(values[0]), _pinned_table(s)[codes[0]].copy()
-    mat, e = _unit_scaled(mat)
-    score, x = _split_max(mat, kind)
-    return _ldexp(math.sqrt(score) if kind == "inf2" else score, e), x
+        value, x = float(values[0]), _pinned_table(s)[codes[0]].copy()
+    else:
+        score, x = _split_max(mat, kind)
+        value = math.sqrt(score) if kind == "inf2" else score
+    return _scaled_back(value, e, f"the ({kind[:3]}->{kind[3]}) norm"), x
 
 
 def norm_inf2_exact(b):

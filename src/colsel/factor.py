@@ -7,16 +7,14 @@ matrix affine in ``alpha^p f``; ``lambda(f) <= 0`` for weights ``f`` on the
 simplex iff ``A`` factors through ``D = diag(sqrt f)`` with ``||T|| <=
 alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
 the bracket ``constant``, ``name`` (the input's name in messages), ``level``
-(``alpha^p``), ``pairs(f)`` (the top eigenpair of each branch at ``level``,
-solved to ``linalg.EIG_TOL``: one branch for Pietsch, two for Grothendieck),
-``improve(x)`` (sign-witness ascent), ``split(d)``/``join(t, d)`` (``T``
-from ``D``, and the input back from both) and ``t_norm(t, d)`` (the measured
-``||T||``).  The base class derives the evaluation ``program(f)`` (the
-attaining branch's value and subgradient) and ``certified(f)`` (an upper
-bound on ``lambda(f)``).  Both solve through one memo of the program's last
-point, so a certificate asked for at the point just evaluated makes no
-eigensolve (see :class:`EigenProgram`).  The base ``t_norm`` solves the Gram
-of ``T``; a program may read it from a spectrum it already holds instead.
+(``alpha^p``), ``improve(x)`` (sign-witness ascent), ``split(d)``/``join(t,
+d)`` (``T`` from ``D``, and the input back from both) and two solves of each
+branch's top eigenpair: ``_level_free()`` and ``_shifted(f)``.  The base
+class owns the rest: the constant-weight rule (the level-free pairs, solved
+once per program, give every branch pair at constant ``f`` and ``t_norm(t,
+d)``, the measured ``||T||``, at constant ``d``), the evaluation
+``program(f)`` and ``certified(f)``, an upper bound on ``lambda(f)`` that
+reuses the pairs of the best point (see :class:`EigenProgram`).
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -24,19 +22,19 @@ unit-scale level is at most ``MAX_UNIT_LEVEL``, ``0 < rel_tol < 1``, a budget).
 The zero matrix factors exactly (uniform ``d``, ``T = 0``) with bracket ``[0, 0]``.
 
 :func:`_factorize` minimizes ``lambda`` by mirror descent with an early exit
-at zero and certifies ``eta``.  A positive ``eta`` is absorbed by blending
-with the uniform point, ``(alpha^p f + eta) / (alpha^p + eta s)``, at the
-price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if eigensolver slack
-lets ``||T||`` pass that, the excess ``(||T||^p - alpha_eff^p) / s`` is
-folded into ``eta`` once.  :func:`_bracket` bisects on ``alpha``: the sign
-vectors of its start give the lower bound, factor norms upper bounds.  Both,
-and the public objective :func:`_evaluate`, solve ``A 2^-e`` at level ``alpha
-2^-e``, ``2^e`` bringing the largest entry of ``A`` into ``[0.5, 1)``, and
-scale the results back (``eta``, objective values and subgradients by ``2^(p
-e)``).  That is exact, so nothing overflows or underflows and all three are homogeneous in
-``A``.
+at zero and certifies ``eta`` at the best point.  A positive ``eta`` is
+absorbed by blending with the uniform point, ``(alpha^p f + eta) / (alpha^p
++ eta s)``, at the price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if
+eigensolver slack lets ``||T||`` pass that, the excess ``(||T||^p -
+alpha_eff^p) / s`` is folded into ``eta`` once.  :func:`_bracket` bisects on
+``alpha``: the sign vectors of its start give the lower bound, factor norms
+upper bounds.  Both, and the objective :func:`_evaluate`, solve ``A 2^-e`` at
+level ``alpha 2^-e`` (the largest entry of ``A 2^-e`` in ``[0.5, 1)``) and
+scale back exactly (``eta`` and objective values by ``2^(p e)``), so all three
+are homogeneous; a reported number beyond the float range is refused.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,7 +42,8 @@ import numpy as np
 
 from .emd import SubgradientSample, emd_minimize
 from .errors import DomainError, SolverError, _require_budget
-from .linalg import _ldexp, _spectral_norm, _unit_scaled, frobenius_norm
+from .linalg import (EigPair, _ldexp, _scaled_back, _spectral_norm, _unit_scaled,
+                     frobenius_norm)
 
 # Only exactly-zero weights (mirror-descent underflow) take the
 # pseudoinverse zero-column path; a certified nonpositive objective forces
@@ -69,38 +68,61 @@ class EigenProgram:
     """An eigenvalue program at one level: its value is the largest of its
     branches' top values.
 
-    A program keeps the branch pairs of the last point it solved, keyed by
-    the exact bytes of ``f``.  The evaluation and ``certified`` reuse them
-    when the same point comes again: every pair passed the kernel's test
-    ``residual <= EIG_TOL max(1, ||H||_F)`` when it was solved, and a fresh
-    solve of the same matrix gives the same bits, so reuse changes no value.
-    Otherwise the branches are solved afresh, with their ``SolverError``.
+    A program supplies ``_level_free()``, the top pair of each branch at
+    level 0, and ``_shifted(f)``, the pairs at ``level`` for non-constant
+    ``f``.  At constant weights the shift ``level F`` is ``c I``, ``c = level
+    f_0``, so each pair is a level-free pair ``(mu, u)`` moved to ``(mu - c,
+    u)`` with the same residual; those are solved once per program, on first
+    use, and also give ``||T||`` at constant ``d`` (:meth:`t_norm`).
+
+    A program keeps the pairs of its lowest-value point, the first to reach
+    that value (the point ``emd_minimize`` returns), keyed by the exact bytes
+    of ``f``, and ``certified`` reuses them there: every pair passed the
+    kernel's test ``residual <= EIG_TOL max(1, ||H||_F)``, and a fresh solve of
+    the same matrix gives the same bits, so reuse changes no value.  At any
+    other point the branches are solved afresh, with their ``SolverError``.
     """
 
-    _last = None  # (f bytes, branch pairs) of the last solve
+    _best = None  # (value, f bytes, branch pairs) of the lowest-value point
 
-    def _solved(self, f):
-        key = np.asarray(f, dtype=float).tobytes()
-        last = self._last
-        if last is not None and last[0] == key:
-            return last[1]
-        pairs = self.pairs(f)
-        self._last = (key, pairs)
-        return pairs
+    @functools.cached_property
+    def _spectrum(self):  # the level-free branch pairs
+        return self._level_free()
+
+    def _pairs(self, f):
+        """The top pair of each branch at ``f``."""
+        f = np.asarray(f, dtype=float)
+        if f[0] != f[-1] or f.max() != f.min():  # the first test settles most calls
+            return self._shifted(f)
+        c = self.level * float(f[0])
+        return [EigPair(p.value - c, p.vector, p.residual) for p in self._spectrum]
 
     def __call__(self, f):
         """The value at ``f`` and the subgradient ``-level u^2`` of the top
         vector ``u`` of the attaining branch, the first with the largest value."""
-        top = max(self._solved(f), key=lambda p: p.value)
+        pairs = self._pairs(f)
+        top = max(pairs, key=lambda p: p.value)
+        if self._best is None or top.value < self._best[0]:
+            self._best = (top.value, np.asarray(f, dtype=float).tobytes(), pairs)
         return SubgradientSample(top.value, -self.level * top.vector**2)
 
     def certified(self, f):
         """Upper bound on the value at ``f``: the largest branch value plus residual."""
-        return max(p.value + p.residual for p in self._solved(f))
+        best = self._best
+        key = np.asarray(f, dtype=float).tobytes()
+        pairs = best[2] if best is not None and best[1] == key else self._pairs(f)
+        return max(p.value + p.residual for p in pairs)
 
     def t_norm(self, t, d):
-        """The measured ``||T||`` of the factor ``t = split(d)``."""
-        return _spectral_norm(t)
+        """The measured ``||T||`` of the factor ``t = split(d)``: at constant
+        ``d``, ``T`` is ``A / d_0^(2/p)``, so it is ``sqrt(mu) / d_0``
+        (Pietsch) or ``mu / (d_0 d_0)`` (Grothendieck) for the largest
+        level-free top value ``mu``; otherwise the Gram of ``t`` is solved."""
+        if d.max() != d.min():
+            return _spectral_norm(t)
+        mu = max(max(p.value for p in self._spectrum), 0.0)
+        d0 = float(d[0])
+        return math.sqrt(mu) / d0 if self.power == 2 else mu / (d0 * d0)
 
 
 @dataclass
@@ -138,17 +160,18 @@ class NormBracket:
     probes: int
 
 
-def _rescaled(fact, e, power):
-    """The factorization of ``A`` from that of ``A * 2**-e``."""
+def _rescaled(fact, e, power, back=_scaled_back):
+    """The factorization of ``A`` from that of ``A * 2**-e``, its numbers scaled
+    back by ``back(x, shift, name)``, which by default refuses an overflow."""
     with np.errstate(over="ignore"):  # saturates to +-inf, like _ldexp
         t = np.ldexp(fact.t, e)
     return Factorization(
         d=fact.d,
         t=t,
-        alpha_effective=_ldexp(fact.alpha_effective, e),
-        eta=_ldexp(fact.eta, power * e),
-        reconstruction_residual=_ldexp(fact.reconstruction_residual, e),
-        t_norm=_ldexp(fact.t_norm, e),
+        alpha_effective=back(fact.alpha_effective, e, "alpha_effective"),
+        eta=back(fact.eta, power * e, "eta"),
+        reconstruction_residual=back(fact.reconstruction_residual, e, "the residual"),
+        t_norm=back(fact.t_norm, e, "t_norm"),
     )
 
 
@@ -185,8 +208,7 @@ def _unit_input(program, a):
         raise DomainError(f"{program.name} must have at least one column")
     a, e = _unit_scaled(a)
     fro = frobenius_norm(a)
-    if _ldexp(fro, e) == math.inf:
-        raise DomainError(f"{program.name} has a Frobenius norm beyond the float range")
+    _scaled_back(fro, e, f"the Frobenius norm of {program.name}")
     return a, e, fro
 
 
@@ -229,8 +251,7 @@ def _factorize(program, a, alpha, emd_budget):
     s = a.shape[1]
     objective = program(a, unit_alpha)
     run = emd_minimize(objective, s, emd_budget, step_mode="adaptive", stop_below=0.0)
-    f = np.maximum(run.best_point, 0.0)
-    f /= f.sum()
+    f = run.best_point
     eta = objective.certified(f)
 
     fact = _build(objective, a, fro, f, unit_alpha, eta)
@@ -298,11 +319,11 @@ def _bracket(program, a, rel_tol, emd_budget, factorize):
         d = np.full(s, 1.0 / math.sqrt(s))
         zero = Factorization(d, np.zeros_like(a), 0.0, 0.0, 0.0, 0.0)
         return NormBracket(0.0, 0.0, zero, np.ones(s), True, 0)
-    # At level 0 every weight gives the unshifted spectrum.  Its top value
-    # bounds the norm above (``K_P sqrt(s) ||B||``, ``K_G s ||G||``); the
-    # all-ones start and each branch's top vector give the one lower bound.
+    # The level-free spectrum: its top value bounds the norm above (``K_P
+    # sqrt(s) ||B||``, ``K_G s ||G||``); the all-ones start and each branch's
+    # top vector give the one lower bound.
     objective = program(a, 0.0)
-    tops = objective.pairs(np.ones(s))
+    tops = objective._spectrum
     root = math.sqrt if power == 2 else (lambda x: x)
     top = max(*(p.value for p in tops), 0.0)
     hi_seed = program.constant * root(s) * root(top)
@@ -342,7 +363,9 @@ def _bracket(program, a, rel_tol, emd_budget, factorize):
         else:
             lo_b = mid
 
-    best = None if best is None else _rescaled(best, e, power)
-    alpha_lo = _ldexp(lo * (1.0 - 1e-12), e)
+    alpha_lo = _scaled_back(lo * (1.0 - 1e-12), e, "the lower end of the bracket")
+    alpha_hi = _scaled_back(alpha_hi, e, "the upper end of the bracket")
+    # best is not reported: its eta, scaled by 2^(p e), may saturate.
+    best = None if best is None else _rescaled(best, e, power, lambda x, k, _: _ldexp(x, k))
     witness = _canonical_sign(witness)
-    return NormBracket(alpha_lo, _ldexp(alpha_hi, e), best, witness, converged, probes)
+    return NormBracket(alpha_lo, alpha_hi, best, witness, converged, probes)

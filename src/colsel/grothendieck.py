@@ -70,9 +70,13 @@ class GrothObjective(EigenProgram):
         self.g = g
         self.level = alpha
 
-    def pairs(self, f):
+    def _level_free(self):
+        """Top eigenpairs of ``G`` and ``-G``."""
+        return [_top_pair(signed) for signed in (self.g, -self.g)]
+
+    def _shifted(self, f):
         """Top eigenpairs of ``G - level F`` and ``-G - level F``; a tie goes to ``+G``."""
-        shift = np.diag(self.level * np.asarray(f, dtype=float))
+        shift = np.diag(self.level * f)
         return [_top_pair(signed - shift) for signed in (self.g, -self.g)]
 
     def improve(self, x):

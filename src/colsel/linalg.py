@@ -71,6 +71,15 @@ def _ldexp(x, e):
         return math.copysign(math.inf, x)
 
 
+def _scaled_back(x, e, what):
+    """``x * 2**e`` for a value ``x`` taken at unit scale; :class:`DomainError`
+    names ``what`` if a finite ``x`` leaves the float range."""
+    value = _ldexp(x, e)
+    if math.isinf(value) and not math.isinf(x):
+        raise DomainError(f"{what} is beyond the float range")
+    return value
+
+
 def frobenius_norm(a):
     """Frobenius norm of a dense matrix."""
     a, e = _unit_scaled(as_matrix(a))

@@ -23,7 +23,8 @@ time as one uniform block, and consecutive blocks of a stream equal one
 large block, so results do not depend on the chunk size.  A block's rows
 that keep ``k`` coordinates gather their submatrices as one stack, scored by
 the path the single-matrix oracles take (``exact._stack_values``), with the
-same bits; statistics are taken at unit scale, so they scale exactly.
+same bits; statistics and bounds are taken at unit scale, so they scale
+exactly, and a bound beyond the float range is refused with ``DomainError``.
 """
 
 import math
@@ -34,8 +35,8 @@ import numpy as np
 
 from .errors import DomainError, _require_count, _require_seed, _stream
 from .exact import _stack_values, norm_inf1_exact, norm_inf2_exact
-from .linalg import (_ldexp, _unit_scaled, as_matrix, frobenius_norm, hollow_gram,
-                     is_standardized, stable_rank)
+from .linalg import (_ldexp, _scaled_back, _unit_scaled, as_matrix, frobenius_norm,
+                     hollow_gram, is_standardized, stable_rank)
 
 MIN_TRIALS = 100
 # keeps the trial-values array within the 80 MB that io.MAX_ENTRIES allows an input
@@ -149,24 +150,28 @@ def check_inf2_reduction(a, delta, trials, seed=0):
     """
     a, trials, seed = _check_experiment(a, delta, trials, seed)
     n = a.shape[1]
-    inf2_full, _ = norm_inf2_exact(a)
-    if inf2_full == math.inf:  # the bounds, and trial values, would be inf too
-        raise DomainError("A has an (inf->2) norm beyond the float range")
-    r_bound = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(a) + delta * inf2_full
-
-    def columns(idx):  # each member laid out as a[:, idx]
-        return a.T[idx].transpose(0, 2, 1)
-
-    r_values = _trial_values("inf2", columns, "R", n, delta, seed, 0, trials)
-    p_values = _trial_values("inf2", columns, "P", n, delta, seed, 1, trials)
-
+    # The bounds are taken at unit scale and refused beyond the float range.
+    unit, e = _unit_scaled(a)
+    inf2, _ = norm_inf2_exact(unit)
+    _scaled_back(inf2, e, "A's (inf->2) norm")  # no trial value passes it
+    r_unit = math.sqrt(2.0 * delta * (1.0 - delta)) * frobenius_norm(unit) + delta * inf2
+    r_bound = _scaled_back(r_unit, e, "the R_delta bound")
     s = int(math.floor(delta * n))
     in_regime = (
         s > 0
         and is_standardized(a)
         and s <= math.ceil(2.0 * stable_rank(a))
     )
-    p_bound = 7.0 * math.sqrt(s) if in_regime else 2.0 * r_bound
+    if in_regime:
+        p_bound = 7.0 * math.sqrt(s)
+    else:
+        p_bound = _scaled_back(2.0 * r_unit, e, "the P_delta bound")
+
+    def columns(idx):  # each member laid out as a[:, idx]
+        return a.T[idx].transpose(0, 2, 1)
+
+    r_values = _trial_values("inf2", columns, "R", n, delta, seed, 0, trials)
+    p_values = _trial_values("inf2", columns, "P", n, delta, seed, 1, trials)
 
     r_result = _result(r_values, r_bound, "R_delta", delta)
     p_result = _result(p_values, p_bound, "P_delta", delta)
@@ -175,10 +180,12 @@ def check_inf2_reduction(a, delta, trials, seed=0):
 
 def poissonization_check(p_result, r_result):
     """``E_P <= 2 E_R`` with a three-standard-error cushion on both sides."""
-    errors, e = _unit_scaled(np.array([[p_result.std_error, 2.0 * r_result.std_error]]))
-    combined = _ldexp(math.sqrt(float(np.sum(errors * errors))), e)
+    unit, e = _unit_scaled(np.array([[r_result.empirical_mean, p_result.std_error,
+                                      2.0 * r_result.std_error]]))
+    errors = unit[0, 1:]
+    rhs = 2.0 * float(unit[0, 0]) + 3.0 * math.sqrt(float(np.sum(errors * errors)))
+    rhs = _scaled_back(rhs, e, "the Poissonization bound")
     lhs = p_result.empirical_mean
-    rhs = 2.0 * r_result.empirical_mean + 3.0 * combined
     return lhs <= rhs, lhs, rhs
 
 

@@ -5,15 +5,6 @@ with ``||T|| <= alpha`` exists iff ``lambda_max(B^T B - alpha^2 D^2) <= 0``.
 :class:`PietschObjective` is that program (``p = 2``) for the factorization
 core :mod:`colsel.factor`, whose bracket for the NP-hard ``||B||_{inf->2}``
 is within the constant ``K_P = sqrt(pi/2)`` for the real field.
-
-Every eigenvalue the module needs comes from :meth:`PietschObjective.pairs`.
-Constant weights make the shift ``alpha^2 diag(f)`` a multiple ``c I`` of
-the identity, so the top pair is that of the level-free Gram ``B^T B``
-moved by ``-c``.  A program solves that level-free Gram once and keeps its
-top pair; when ``B`` has fewer rows than columns it solves the small Gram
-``B B^T``, which shares the nonzero spectrum of ``B^T B``.  The held pair
-also gives the factor norm at constant weights, ``||T|| = ||B|| / d_0``.
-The ``s x s`` Gram is formed only for the first non-constant ``f``.
 """
 
 import math
@@ -41,14 +32,12 @@ PietschFactorization = Factorization
 class PietschObjective(EigenProgram):
     """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``, one branch.
 
-    For constant weights the shift is ``c I``, ``c = alpha^2 f_0``, and the
-    branch is ``(mu - c, u)`` for the top pair ``(mu, u)`` of the level-free
-    Gram, solved once per program: ``B^T B``, or for an ``m x s`` matrix with
-    ``m < s`` the ``m x m`` Gram ``B B^T``, whose top vector ``v`` gives ``u =
-    B^T v / ||B^T v||``.  Every other ``f`` uses the ``s x s`` Gram ``B^T B``,
-    formed on first use.  The class is the Pietsch program of
-    :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted; outside input goes
-    through :func:`pietsch_objective`.
+    Its level-free pair is the top pair ``(mu, u)`` of ``B^T B``, solved on
+    ``B^T B`` or, for an ``m x s`` matrix with ``m < s``, on the ``m x m``
+    Gram ``B B^T``, whose top vector ``v`` gives ``u = B^T v / ||B^T v||``.
+    The ``s x s`` Gram is formed on first use.  The class is the Pietsch
+    program of :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted;
+    outside input goes through :func:`pietsch_objective`.
     """
 
     power = 2
@@ -59,34 +48,18 @@ class PietschObjective(EigenProgram):
         self.b = b
         self.level = alpha**2
         self._gram = None
-        self._flat = None  # top pair of the level-free Gram
 
-    def pairs(self, f):
-        """The top eigenpair of ``B^T B - level diag(f)`` with its residual.
+    def _level_free(self):
+        """The top pair of ``B^T B``, from the smaller Gram."""
+        m, s = self.b.shape
+        return (_top_pair(self._column_gram()) if m >= s else _short_side_pair(self.b),)
 
-        The residual ``||H u - lambda u||_2`` is measured on the ``s x s``
-        problem and held to ``EIG_TOL * max(1, ||H||_F)``, where ``H`` is the
-        level-free Gram ``B^T B`` for constant ``f`` (``||B B^T||_F`` equals
-        ``||B^T B||_F``) and the shifted one otherwise.
-        """
-        f = np.asarray(f, dtype=float)
-        if f.max() == f.min():
-            if self._flat is None:
-                m, s = self.b.shape
-                self._flat = _top_pair(self._column_gram()) if m >= s else _short_side_pair(self.b)
-            top = self._flat
-            return (EigPair(top.value - self.level * float(f[0]), top.vector, top.residual),)
+    def _shifted(self, f):
+        """The top pair of ``B^T B - level diag(f)``."""
         h = self._column_gram().copy()
         idx = np.arange(f.size)
         h[idx, idx] -= self.level * f
         return (_top_pair(h),)
-
-    def t_norm(self, t, d):
-        """``||T||``; at constant ``d`` it is ``sqrt(mu) / d_0`` for the held top
-        value ``mu`` of ``B^T B``, as ``T = B / d_0``."""
-        if self._flat is not None and d.max() == d.min():
-            return math.sqrt(max(self._flat.value, 0.0)) / float(d[0])
-        return super().t_norm(t, d)
 
     def _column_gram(self):
         if self._gram is None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from colsel import cli
+from colsel import cli, hollow_gram, standardize
 from colsel.errors import SolverError
 
 
@@ -219,6 +219,41 @@ def test_experiment_beyond_the_float_range_exit_3(capsys, tmp_path, rows):
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "float range" in err
+
+
+def _overflowing_inputs():
+    g = hollow_gram(standardize(np.random.default_rng(0).standard_normal((6, 10))))
+    return {
+        "big": np.full((4, 16), 5e306),  # ||A||_{inf->2} = 1.6e308; the P_delta bound is not
+        "g": g * 2.0**1020,  # ||G||_F is finite; ||G||_{inf->1} is not
+        "b": 1e160 * np.random.default_rng(0).standard_normal((6, 10)),  # eta scales by 2^1064
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--kind", "inf2", "--delta", "0.5", "big"],
+    ["oracle", "--kind", "inf1", "g"],
+    ["norm", "--kind", "inf1", "g"],
+    ["grothendieck", "--alpha", "1e308", "g"],
+    ["pietsch", "--alpha", "1", "b"],
+], ids=["experiment", "oracle", "norm", "grothendieck", "pietsch"])
+def test_a_reported_number_beyond_the_float_range_exit_3(capsys, tmp_path, argv):
+    # Each run once printed an overflowed number as null and exited 0.
+    p = tmp_path / f"{argv[-1]}.csv"
+    np.savetxt(p, _overflowing_inputs()[argv[-1]], fmt="%.17g", delimiter=",")
+    code, out, err = run_cli(capsys, *argv[:-1], str(p))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "beyond the float range" in err
+
+
+def test_a_rank_deficient_bt_candidate_still_logs_null(capsys, tmp_path):
+    # condition_number's inf for a rank-deficient candidate is by design.
+    p = tmp_path / "doubled.csv"
+    np.savetxt(p, np.hstack([np.eye(4), np.eye(4)]), fmt="%.17g", delimiter=",")
+    code, out, _ = run_cli(capsys, "bt", "--seed", "1", str(p))
+    assert code == 0
+    assert [4, 1, 4, None] in json.loads(out)["result"]["per_round_log"]
 
 
 @pytest.mark.parametrize("command", ["pietsch", "grothendieck"])

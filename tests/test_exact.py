@@ -163,12 +163,15 @@ def test_inf1_scales_with_the_input(c):
     assert np.array_equal(x, unit_x)
 
 
-def test_norms_saturate_above_the_float_range():
-    # Split sums of entries near the float maximum once mixed +inf and -inf.
+def test_norms_beyond_the_float_range_are_refused():
+    # Split sums of entries near the float maximum once mixed +inf and -inf;
+    # then the norms saturated to inf, which a report prints as null.
     big = np.full((2, 20), 1e308)
     big[:, ::3] *= -1.0
-    assert norm_inf1_exact(big)[0] == math.inf
-    assert norm_inf2_exact(big)[0] == math.inf
+    for mat in (big, big[:, :8]):  # above and below the split
+        for oracle in (norm_inf1_exact, norm_inf2_exact):
+            with pytest.raises(DomainError, match="beyond the float range"):
+                oracle(mat)
 
 
 def test_cap_is_twenty_columns():

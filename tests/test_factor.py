@@ -1,12 +1,16 @@
-"""The factorization core reuses a program's last solve, and only that.
+"""The factorization core solves a program's level-free spectrum once and
+reuses the pairs of its lowest-value point, and only those.
 
 Eigensolves are counted by wrapping ``numpy.linalg.eigh``, which the eigen
 kernel looks up at each call.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
+import colsel.factor
 import colsel.grothendieck
 import colsel.pietsch
 from colsel import (
@@ -17,6 +21,7 @@ from colsel import (
     hollow_gram,
     pietsch_factorize,
     pietsch_optimal_alpha,
+    spectral_norm,
     standardize,
 )
 from colsel.factor import NORM_SLACK
@@ -50,14 +55,15 @@ def _programs():
 
 
 def test_bracket_certifies_its_probe_without_a_second_solve(eigh_calls):
-    # One feasible probe: the two start branches, one evaluation (two
-    # branches), the certificate (reused) and t_norm.  Without reuse the
-    # certificate solves both branches again.
+    # One feasible probe: the two start branches, then the probe's two
+    # level-free branches, which give its evaluation at uniform weights, the
+    # certificate and t_norm.  Without reuse the certificate solves both
+    # branches again.
     a = np.random.default_rng(0).standard_normal((64, 128))
     bracket = groth_optimal_alpha(hollow_gram(standardize(a)))
     assert bracket.probes == 1
     assert bracket.best.eta <= 0.0
-    assert len(eigh_calls) == 5
+    assert len(eigh_calls) == 4
 
 
 def _wild_inputs():
@@ -177,17 +183,77 @@ def test_certificate_at_the_evaluated_point_makes_no_solve(eigh_calls, program, 
     assert len(eigh_calls) == branches
     bound = program.certified(f)
     assert len(eigh_calls) == branches
-    fresh = program.pairs(f)
+    fresh = program._pairs(f)
     assert bound == max(p.value + p.residual for p in fresh) >= value
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())
-def test_another_point_solves_afresh(eigh_calls, program, f, branches):
-    program(f)
-    program.certified(np.nextafter(f, 1.0))
+def test_only_the_best_point_is_certified_without_a_solve(eigh_calls, program, f, branches):
+    # The pairs kept are those of the lowest value, not of the last point.
+    probe = copy.copy(program)
+    worse = max((0.1 * f + 0.9 * np.eye(f.size)[j] for j in range(f.size)),
+                key=lambda w: probe(w).value)
+    del eigh_calls[:]
+    assert program(f).value < program(worse).value
     assert len(eigh_calls) == 2 * branches
     program.certified(f)
+    assert len(eigh_calls) == 2 * branches
+    program.certified(worse)
     assert len(eigh_calls) == 3 * branches
+    program.certified(np.nextafter(f, 1.0))
+    assert len(eigh_calls) == 4 * branches
+
+
+def _gap_exits():
+    # Infeasible levels whose mirror descent ends by the gap test at a best
+    # point it evaluated before its last one.
+    a = np.random.default_rng(6).standard_normal((5, 8))
+    g = hollow_gram(standardize(a))
+    return [
+        pytest.param(pietsch_factorize, a, 0.5 * np.sqrt(8) * spectral_norm(a), id="pietsch"),
+        pytest.param(groth_factorize, g, 0.4 * 8 * spectral_norm(g), id="groth"),
+    ]
+
+
+@pytest.mark.parametrize("factorize, a, alpha", _gap_exits())
+def test_a_gap_exit_certifies_its_best_point_without_a_solve(monkeypatch, eigh_calls,
+                                                             factorize, a, alpha):
+    seen = {}
+    minimize = colsel.factor.emd_minimize
+
+    def recorded(objective, s, *args, **kwargs):
+        points = []
+
+        def evaluate(f):
+            points.append(f)
+            return objective(f)
+
+        run = minimize(evaluate, s, *args, **kwargs)
+        seen.update(run=run, last=points[-1], solves=len(eigh_calls))
+        return run
+
+    monkeypatch.setattr(colsel.factor, "emd_minimize", recorded)
+    fact = factorize(a, alpha)
+    assert seen["run"].exit == "gap"
+    assert seen["run"].best_point is not seen["last"]
+    assert fact.eta > 0.0 and not np.all(fact.d == fact.d[0])
+    # The certificate reuses the best point's pairs: only the Gram of T is solved.
+    assert len(eigh_calls) == seen["solves"] + 1
+
+
+def test_a_uniform_grothendieck_factor_norm_is_read_from_the_spectrum(eigh_calls):
+    # Feasible at uniform weights: T = s G, and ||T|| = ||G|| / d_0^2 comes
+    # from the two level-free branches, which are the only solves.
+    g = hollow_gram(standardize(np.random.default_rng(2).standard_normal((5, 8))))
+    alpha = 2.0 * 8 * spectral_norm(g)
+    del eigh_calls[:]
+    unit = groth_factorize(g, alpha)
+    assert unit.eta <= 0.0 and np.all(unit.d == unit.d[0])
+    assert len(eigh_calls) == 2
+    measured = spectral_norm(unit.t)
+    assert abs(unit.t_norm - measured) <= 8 * np.spacing(measured)
+    for c in (2.0**-600, 2.0**600):
+        assert groth_factorize(c * g, c * alpha).t_norm == c * unit.t_norm
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())

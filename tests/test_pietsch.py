@@ -237,7 +237,7 @@ def test_short_side_pair_matches_dense(shape, kind, seed, c_ratio):
     program = PietschObjective(b, math.sqrt(c_ratio) * np.linalg.norm(b, 2))
     c = program.level
     tol = EIG_TOL
-    (short,) = program.pairs(np.ones(s))
+    (short,) = program._pairs(np.ones(s))
     h = b.T @ b - c * np.eye(s)
     dense = max_eig_pair(h)
     scale = max(1.0, np.linalg.norm(h, "fro"))
@@ -401,20 +401,25 @@ def test_bracket_scales_with_the_input(program, c):
 def test_solvers_are_homogeneous(program, m, s, seed, ratio, k):
     # Both solvers run on A 2^-e, so scaling A by c = 2^k scales every result
     # exactly: d and the witness do not move, the rest scales by c, and eta
-    # by c^p wherever that stays in the float range.
+    # by c^p wherever that stays in the float range; past it the
+    # factorization is refused.
     c = 2.0**k
     a = program.of(np.random.default_rng(seed).standard_normal((m, s)))
     assume(a.any())
     alpha = ratio * frobenius_norm(a)  # feasible and infeasible levels
     unit = program.factorize(a, alpha, 400)
-    fact = program.factorize(c * a, c * alpha, 400)
-    assert np.array_equal(fact.d, unit.d)
-    assert np.array_equal(fact.t, c * unit.t)
-    assert fact.t_norm == c * unit.t_norm
-    assert fact.alpha_effective == c * unit.alpha_effective
     eta_exponent = math.frexp(unit.eta)[1] + program.power * k
-    if unit.eta == 0.0 or -1021 <= eta_exponent <= 1024:
-        assert fact.eta == math.ldexp(unit.eta, program.power * k)
+    if unit.eta != 0.0 and eta_exponent > 1024:
+        with pytest.raises(DomainError, match="eta is beyond the float range"):
+            program.factorize(c * a, c * alpha, 400)
+    else:
+        fact = program.factorize(c * a, c * alpha, 400)
+        assert np.array_equal(fact.d, unit.d)
+        assert np.array_equal(fact.t, c * unit.t)
+        assert fact.t_norm == c * unit.t_norm
+        assert fact.alpha_effective == c * unit.alpha_effective
+        if unit.eta == 0.0 or eta_exponent >= -1021:
+            assert fact.eta == math.ldexp(unit.eta, program.power * k)
 
     unit = program.optimal_alpha(a, emd_budget=400)
     scaled = program.optimal_alpha(c * a, emd_budget=400)
