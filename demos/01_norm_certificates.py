@@ -40,5 +40,6 @@ for trial in range(5):
     )
 
 print()
+print("probes 0: the start's uniform factorization already certifies the ratio.")
 print("The lower end is always attained by an explicit sign vector,")
 print("so both ends of the bracket are certificates, not estimates.")

@@ -26,12 +26,16 @@ at zero and certifies ``eta`` at the best point.  A positive ``eta`` is
 absorbed by blending with the uniform point, ``(alpha^p f + eta) / (alpha^p
 + eta s)``, at the price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if
 eigensolver slack lets ``||T||`` pass that, the excess ``(||T||^p -
-alpha_eff^p) / s`` is folded into ``eta`` once.  :func:`_bracket` bisects on
-``alpha``: the sign vectors of its start give the lower bound, factor norms
-upper bounds.  Both, and the objective :func:`_evaluate`, solve ``A 2^-e`` at
-level ``alpha 2^-e`` (the largest entry of ``A 2^-e`` in ``[0.5, 1)``) and
-scale back exactly (``eta`` and objective values by ``2^(p e)``), so all three
-are homogeneous; a reported number beyond the float range is refused.
+alpha_eff^p) / s`` is folded into ``eta`` once.  :func:`_bracket` starts
+from the level-free spectrum: the sign vectors of its start give the lower
+bound and the measured norm of the uniform factorization the upper one.  It
+bisects on ``alpha`` until ``alpha_hi <= K alpha_lo (1 + rel_tol)`` or the
+interval collapses, a rule tested before the first probe too; each probe's
+factor norm is another upper bound.  Both, and the objective
+:func:`_evaluate`, solve ``A 2^-e`` at level ``alpha 2^-e`` (the largest entry
+of ``A 2^-e`` in ``[0.5, 1)``) and scale back exactly (``eta`` and objective
+values by ``2^(p e)``), so all three are homogeneous; a reported number beyond
+the float range is refused.
 """
 
 import functools
@@ -148,30 +152,31 @@ class NormBracket:
     """Certified two-sided bracket for an operator norm.
 
     ``alpha_lo <= norm <= alpha_hi``; ``lower_witness`` is a sign vector
-    attaining ``alpha_lo`` (up to measurement slack), and ``best`` is the
-    factorization whose factor norm produced ``alpha_hi``.
+    attaining ``alpha_lo`` (up to measurement slack).  ``alpha_hi`` is the
+    smallest measured factor norm: the uniform factorization's, or a probe's.
+    ``probes`` counts the factorizations run; ``converged`` says whether the
+    stop rule held.
     """
 
     alpha_lo: float
     alpha_hi: float
-    best: Factorization
     lower_witness: np.ndarray
     converged: bool
     probes: int
 
 
-def _rescaled(fact, e, power, back=_scaled_back):
+def _rescaled(fact, e, power):
     """The factorization of ``A`` from that of ``A * 2**-e``, its numbers scaled
-    back by ``back(x, shift, name)``, which by default refuses an overflow."""
+    back; a number that leaves the float range is refused."""
     with np.errstate(over="ignore"):  # saturates to +-inf, like _ldexp
         t = np.ldexp(fact.t, e)
     return Factorization(
         d=fact.d,
         t=t,
-        alpha_effective=back(fact.alpha_effective, e, "alpha_effective"),
-        eta=back(fact.eta, power * e, "eta"),
-        reconstruction_residual=back(fact.reconstruction_residual, e, "the residual"),
-        t_norm=back(fact.t_norm, e, "t_norm"),
+        alpha_effective=_scaled_back(fact.alpha_effective, e, "alpha_effective"),
+        eta=_scaled_back(fact.eta, power * e, "eta"),
+        reconstruction_residual=_scaled_back(fact.reconstruction_residual, e, "the residual"),
+        t_norm=_scaled_back(fact.t_norm, e, "t_norm"),
     )
 
 
@@ -226,7 +231,8 @@ def _evaluate(program, a, alpha, f):
     """The program's value and subgradient at checked ``alpha`` and ``f``.
 
     Evaluated on ``A 2^-e`` at level ``alpha 2^-e``, like :func:`_factorize`;
-    both scale back by ``2^(p e)`` exactly, saturating to ``+-inf``.
+    both scale back by ``2^(p e)`` exactly, and a value or subgradient entry
+    beyond the float range is refused.
     """
     alpha = float(alpha)
     if not 0.0 <= alpha < math.inf:
@@ -235,9 +241,9 @@ def _evaluate(program, a, alpha, f):
     a, e = _unit_scaled(a)
     value, grad = program(a, _unit_level(program, alpha, e))(f)
     shift = program.power * e
-    with np.errstate(over="ignore"):  # saturates to +-inf, like _ldexp
-        grad = np.ldexp(grad, shift)
-    return SubgradientSample(_ldexp(value, shift), grad)
+    _scaled_back(float(np.abs(grad).max()), shift, "the subgradient")
+    return SubgradientSample(_scaled_back(value, shift, "the objective value"),
+                             np.ldexp(grad, shift))
 
 
 def _factorize(program, a, alpha, emd_budget):
@@ -303,61 +309,49 @@ def _build(objective, a, fro, f, alpha, eta):
 
 
 def _bracket(program, a, rel_tol, emd_budget, factorize):
-    """Bisect on ``alpha`` for the converted input ``a``.
+    """Bracket the norm of the converted input ``a``, bisecting on ``alpha``
+    until ``alpha_hi <= K alpha_lo (1 + rel_tol)`` or the search interval
+    collapses to relative width ``rel_tol``.
 
-    Every probe is one call of ``factorize``, the program's public solver,
-    on the unit-scaled ``a``, so a probe is what a caller would get; after
+    The start's level-free spectrum gives the lower end (sign vectors) and the
+    first upper end: the measured norm of the uniform factorization.  Every
+    probe is one call of ``factorize``, the program's public solver, on the
+    unit-scaled ``a``, so a probe is what a caller would get; after
     ``MAX_PROBES`` of them the bracket returns unconverged.
     """
-    power = program.power
     a, e, fro = _unit_input(program, a)
     if not 0.0 < rel_tol < 1.0:
         raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol!r}")
     emd_budget = _require_budget(emd_budget)
     s = a.shape[1]
     if fro == 0.0:
-        d = np.full(s, 1.0 / math.sqrt(s))
-        zero = Factorization(d, np.zeros_like(a), 0.0, 0.0, 0.0, 0.0)
-        return NormBracket(0.0, 0.0, zero, np.ones(s), True, 0)
-    # The level-free spectrum: its top value bounds the norm above (``K_P
-    # sqrt(s) ||B||``, ``K_G s ||G||``); the all-ones start and each branch's
-    # top vector give the one lower bound.
+        return NormBracket(0.0, 0.0, np.ones(s), True, 0)
+    # The all-ones start and each branch's top vector give the one lower bound.
     objective = program(a, 0.0)
-    tops = objective._spectrum
-    root = math.sqrt if power == 2 else (lambda x: x)
-    top = max(*(p.value for p in tops), 0.0)
-    hi_seed = program.constant * root(s) * root(top)
-
     lo, witness = objective.improve(np.ones(s))
-    for branch in tops:
+    for branch in objective._spectrum:
         cand, cand_x = objective.improve(np.sign(branch.vector))
         if cand > lo:
             lo, witness = cand, cand_x
+    # A measured ||T|| certifies the norm from above (up to eigensolver slack,
+    # absorbed here), and uniform weights factor every input.  They are
+    # normalized as _build normalizes them, so the bound has the bits that a
+    # probe ending at the uniform start measures.
+    f = np.full(s, 1.0 / s)
+    d = np.sqrt(f / f.sum())
+    alpha_hi = objective.t_norm(objective.split(d), d) * (1.0 + 1e-9)
 
-    lo_b = lo
-    hi_b = max(hi_seed * (1.0 + 1e-6), lo * (1.0 + 1e-9))
-
-    alpha_hi = math.inf
-    best = None
+    lo_b, hi_b = lo, alpha_hi
     probes = 0
-    converged = False
     while True:
-        ratio_ok = best is not None and alpha_hi <= lo * program.constant * (1.0 + rel_tol)
-        collapsed = best is not None and (hi_b - lo_b) <= rel_tol * lo_b
-        if ratio_ok or collapsed:
-            converged = True
-            break
-        if probes >= MAX_PROBES:
+        converged = (alpha_hi <= lo * program.constant * (1.0 + rel_tol)
+                     or hi_b - lo_b <= rel_tol * lo_b)
+        if converged or probes >= MAX_PROBES:
             break
         mid = math.sqrt(lo_b * hi_b)
         fact = factorize(a, mid, emd_budget)
         probes += 1
-        # The measured ||T|| certifies the norm from above (up to eigensolver
-        # slack, absorbed here).
-        upper = fact.t_norm * (1.0 + 1e-9)
-        if upper < alpha_hi:
-            alpha_hi = upper
-            best = fact
+        alpha_hi = min(alpha_hi, fact.t_norm * (1.0 + 1e-9))
         if fact.eta <= 0.0 or fact.alpha_effective <= mid * (1.0 + rel_tol):
             hi_b = mid
         else:
@@ -365,7 +359,4 @@ def _bracket(program, a, rel_tol, emd_budget, factorize):
 
     alpha_lo = _scaled_back(lo * (1.0 - 1e-12), e, "the lower end of the bracket")
     alpha_hi = _scaled_back(alpha_hi, e, "the upper end of the bracket")
-    # best is not reported: its eta, scaled by 2^(p e), may saturate.
-    best = None if best is None else _rescaled(best, e, power, lambda x, k, _: _ldexp(x, k))
-    witness = _canonical_sign(witness)
-    return NormBracket(alpha_lo, alpha_hi, best, witness, converged, probes)
+    return NormBracket(alpha_lo, alpha_hi, _canonical_sign(witness), converged, probes)

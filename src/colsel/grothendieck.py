@@ -148,14 +148,15 @@ def improve_sign_witness_inf1(g, x):
 
 
 def groth_optimal_alpha(g, rel_tol=REL_TOL, emd_budget=EMD_BUDGET) -> NormBracket:
-    """Certified bracket for ``||G||_{inf->1}`` by bisection over ``alpha``.
+    """Certified bracket for ``||G||_{inf->1}``, bisecting over ``alpha`` if needed.
 
-    Same scheme as the Pietsch bracket: the start's sign vectors below,
-    factorization norms above, ratio target
-    ``alpha_hi / alpha_lo <= K_G_upper (1 + rel_tol)``, at most
-    ``factor.MAX_PROBES`` probes; it runs at unit scale, and
-    ``lower_witness`` has first entry ``+1``.  The zero matrix
-    gets the bracket ``[0, 0]``.
+    Same scheme as the Pietsch bracket: the start's sign vectors below;
+    above, the uniform factorization's norm ``s ||G||`` from the same
+    spectrum, then the probes' factor norms; ratio target ``alpha_hi /
+    alpha_lo <= K_G_upper (1 + rel_tol)``, tested before the first probe
+    too, at most ``factor.MAX_PROBES`` probes; it runs at unit scale, and
+    ``lower_witness`` has first entry ``+1``.  The zero matrix gets the
+    bracket ``[0, 0]``.
     """
     g = _require_symmetric(g, "G")
     return _bracket(GrothObjective, g, rel_tol, emd_budget, groth_factorize)

@@ -143,18 +143,20 @@ def improve_sign_witness_inf2(b, x):
 
 
 def pietsch_optimal_alpha(b, rel_tol=REL_TOL, emd_budget=EMD_BUDGET) -> NormBracket:
-    """Certified bracket for ``||B||_{inf->2}`` by bisection over ``alpha``.
+    """Certified bracket for ``||B||_{inf->2}``, bisecting over ``alpha`` if needed.
 
     The lower bound is ``||B x||_2`` at the best start sign vector (all ones
     and the signs of the top eigenvector of ``B^T B``, each polished by
-    greedy flips); upper bounds are the factor norms of the probes.
-    Bisection stops once ``alpha_hi / alpha_lo <= K_P (1 + rel_tol)`` or the
-    search interval has collapsed to relative width ``rel_tol``; exhausting
-    ``factor.MAX_PROBES`` probes first returns the current bracket flagged
-    as not converged.  The bisection runs at unit scale, like
-    :func:`pietsch_factorize`, and the bracket ends and ``best`` are scaled
-    back; ``lower_witness`` has first entry ``+1``.  The zero matrix gets
-    the bracket ``[0, 0]``.
+    greedy flips).  The upper bound is the smallest measured factor norm:
+    first the uniform factorization's, ``sqrt(s) ||B||`` from the same
+    spectrum, then each probe's.  Bisection stops once ``alpha_hi /
+    alpha_lo <= K_P (1 + rel_tol)`` or the search interval has collapsed to
+    relative width ``rel_tol``, a test made before the first probe too;
+    exhausting ``factor.MAX_PROBES`` probes first returns the current
+    bracket flagged as not converged.  The bracket runs at unit scale, like
+    :func:`pietsch_factorize`, and its ends are scaled back;
+    ``lower_witness`` has first entry ``+1``.  The zero matrix gets the
+    bracket ``[0, 0]``.
     """
     b = as_matrix(b, "B")
     return _bracket(PietschObjective, b, rel_tol, emd_budget, pietsch_factorize)

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colsel import cli, hollow_gram, standardize
 from colsel.errors import SolverError
@@ -411,3 +416,79 @@ def test_threshold_must_be_positive_exit_3(capsys, hadamard_csv, command, thresh
     assert code == 3
     assert out == ""
     assert "threshold" in err
+
+
+# The degree of each reported number in the input's scale: norms, bounds,
+# factors and levels scale with it, eta with its power (2 for pietsch);
+# weights, witnesses, ratios and counts do not.
+_DEGREE_ONE = {"alpha", "alpha_effective", "reconstruction_residual", "t_norm", "t", "lower",
+               "upper", "value", "empirical_mean", "theoretical_bound", "std_error", "lhs",
+               "rhs"}
+
+
+def _scales_exactly(base, got, degree, key=None):
+    """Whether ``got`` is ``base`` with every number scaled by ``2**degree(key)``."""
+    if isinstance(base, dict):
+        return base.keys() == got.keys() and all(
+            _scales_exactly(base[k], got[k], degree, k) for k in base)
+    if isinstance(base, list):
+        return len(base) == len(got) and all(
+            _scales_exactly(b, g, degree, key) for b, g in zip(base, got))
+    if isinstance(base, float) and degree(key):
+        try:
+            return got == math.ldexp(base, degree(key))
+        except OverflowError:  # got is finite, or null
+            return False
+    return type(got) is type(base) and got == base
+
+
+# Each command with its options but the input's; True where the input is symmetric.
+_SCALE_COMMANDS = [
+    (["pietsch", "--iters", "20", "--alpha"], False),
+    (["grothendieck", "--iters", "20", "--alpha"], True),
+    (["norm", "--kind", "inf2", "--iters", "20"], False),
+    (["norm", "--kind", "inf1", "--iters", "20"], True),
+    (["oracle", "--kind", "inf2"], False),
+    (["oracle", "--kind", "inf1"], True),
+    (["experiment", "--kind", "inf2", "--trials", "100", "--delta", "0.5"], False),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(_SCALE_COMMANDS), alpha=st.floats(0.5, 8.0),
+       m=st.integers(1, 6), s=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       k=st.sampled_from([-600, 600, 1000, 1020]))
+def test_every_reported_number_scales_exactly_or_exit_3(command, alpha, m, s, seed, k):
+    # Unstandardized inputs with entries in [-4, 4]: |entry| 2^1020 stays finite.
+    argv, symmetric = command
+    if argv[-1] == "--alpha":  # the level scales with the input
+        argv = argv + [alpha]
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-4.0, 4.0, (s, s) if symmetric else (m, s))
+    if symmetric:
+        a = (a + a.T) / 2.0
+    power = 2 if argv[0] == "pietsch" else 1
+
+    def degree(key):
+        return power * k if key == "eta" else k if key in _DEGREE_ONE else 0
+
+    def run(scale):
+        def text(v):
+            return repr(math.ldexp(v, scale)) if isinstance(v, float) else v
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.csv"
+            path.write_text("\n".join(",".join(text(float(v)) for v in r) for r in a) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([text(v) for v in argv] + [str(path)])
+        return code, out.getvalue(), err.getvalue()
+
+    code, out, err = run(0)
+    assert code == 0, err
+    code_k, out_k, err_k = run(k)
+    if code_k == 3:
+        assert out_k == "" and err_k.startswith("error:"), err_k
+        return
+    assert code_k == 0, err_k
+    assert _scales_exactly(json.loads(out), json.loads(out_k), degree)

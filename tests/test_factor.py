@@ -6,6 +6,7 @@ kernel looks up at each call.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -54,16 +55,33 @@ def _programs():
     ]
 
 
-def test_bracket_certifies_its_probe_without_a_second_solve(eigh_calls):
-    # One feasible probe: the two start branches, then the probe's two
-    # level-free branches, which give its evaluation at uniform weights, the
-    # certificate and t_norm.  Without reuse the certificate solves both
-    # branches again.
+def test_bracket_certifies_its_start_without_a_probe(eigh_calls):
+    # The start's two level-free branches give the lower end and the uniform
+    # factorization's measured norm, which already meets the ratio stop: no
+    # probe, and no branch is solved twice.
     a = np.random.default_rng(0).standard_normal((64, 128))
-    bracket = groth_optimal_alpha(hollow_gram(standardize(a)))
+    g = hollow_gram(standardize(a))
+    bracket = groth_optimal_alpha(g)
+    assert bracket.probes == 0
+    assert bracket.converged
+    assert eigh_calls == [128, 128]
+    uniform = 128 * spectral_norm(g)
+    assert bracket.alpha_hi == pytest.approx(uniform, rel=1e-8)
+    assert bracket.alpha_hi <= bracket.alpha_lo * colsel.grothendieck.GROTHENDIECK_UPPER * 1.05
+
+
+def test_a_bracket_whose_start_does_not_certify_bisects():
+    # On diag(4, 3, 1, ..., 1) the uniform factorization's norm sqrt(8) 4 is
+    # above K_P (1 + rel_tol) times the lower end, so the bracket probes, and
+    # its probe's factor norm is tighter than the start's.
+    b = np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    uniform = math.sqrt(8.0) * 4.0
+    bracket = pietsch_optimal_alpha(b)
+    assert bracket.alpha_lo * PIETSCH_CONSTANT * 1.05 < uniform * (1.0 + 1e-9)
     assert bracket.probes == 1
-    assert bracket.best.eta <= 0.0
-    assert len(eigh_calls) == 4
+    assert bracket.converged
+    assert bracket.alpha_hi == pytest.approx(6.1744, abs=1e-4)
+    assert bracket.alpha_hi <= bracket.alpha_lo * PIETSCH_CONSTANT * 1.05
 
 
 def _wild_inputs():
@@ -168,13 +186,12 @@ def test_a_feasible_wide_factorization_makes_one_eigensolve(eigh_calls):
     assert eigh_calls == [8]
 
 
-def test_a_wide_bracket_feasible_at_its_start_makes_two_eigensolves(eigh_calls):
-    # The start's level-0 spectrum and the one probe's evaluation.
+def test_a_wide_bracket_certified_at_its_start_makes_one_eigensolve(eigh_calls):
+    # The start's level-0 spectrum, on the short side, gives both ends: one solve.
     bracket = pietsch_optimal_alpha(_wide())
-    assert bracket.probes == 1
-    assert bracket.best.eta <= 0.0
-    assert np.all(bracket.best.d == bracket.best.d[0])
-    assert eigh_calls == [8, 8]
+    assert bracket.probes == 0
+    assert bracket.converged
+    assert eigh_calls == [8]
 
 
 @pytest.mark.parametrize("program, f, branches", _programs())

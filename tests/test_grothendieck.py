@@ -217,7 +217,6 @@ def test_optimal_alpha_zero_matrix(factorize, optimal_alpha, shape):
     assert bracket.alpha_hi == 0.0
     assert bracket.converged
     assert bracket.probes == 0
-    assert np.array_equal(bracket.best.t, np.zeros(shape))
     assert np.array_equal(bracket.lower_witness, np.ones(3))
 
 

@@ -208,10 +208,12 @@ def test_optimal_alpha_brackets_exact_norm():
 
 
 def test_optimal_alpha_budget_exhaustion_flagged(monkeypatch):
+    # The start of this input does not certify the ratio, so it needs a probe.
     monkeypatch.setattr(colsel.factor, "MAX_PROBES", 0)
-    bracket = pietsch_optimal_alpha(np.eye(3))
+    bracket = pietsch_optimal_alpha(np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]))
     assert not bracket.converged
-    assert bracket.best is None
+    assert bracket.probes == 0
+    assert bracket.alpha_lo < bracket.alpha_hi < math.inf
 
 
 @settings(max_examples=80, deadline=None)
@@ -623,13 +625,15 @@ def test_ascents_are_homogeneous(k):
 
 
 def test_objectives_at_extreme_scales():
-    # These once raised OverflowError or overflow warnings.
+    # These once raised OverflowError or overflow warnings, or returned inf.
     f = np.full(3, 1.0 / 3.0)
     with pytest.raises(DomainError, match="beyond the float range"):
         pietsch_objective(np.eye(3), 1e200, f)
-    sample = pietsch_objective(1e200 * np.eye(3), 1.0, f)
-    assert sample.value == math.inf  # 1e400 - 1/3 saturates
-    assert np.isfinite(sample.subgradient).all()
+    with pytest.raises(DomainError, match="objective value is beyond the float range"):
+        pietsch_objective(1e200 * np.eye(3), 1.0, f)  # 1e400 - 1/3
+    with pytest.raises(DomainError, match="subgradient is beyond the float range"):
+        # The value is 1, at the second column; its subgradient entry is -1e310.
+        pietsch_objective(np.diag([1e155, 1.0]), 1e155, [1.0, 0.0])
     g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     sample = groth_objective(1e200 * g, 1.0, f)
     assert sample.value == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-12)

@@ -1,10 +1,11 @@
-"""Every integer setting, tolerance, standardization, shape and ascent-start
-rule has one owner in the library, and the CLI repeats none of them.
+"""Every integer setting, tolerance, standardization, shape, finiteness and
+ascent-start rule has one owner in the library, and the CLI repeats none of
+them.
 
 Each row of ``REFUSALS`` is a library call that must raise
-:class:`DomainError` and, where a flag carries the value, the same input
-through the CLI, which must exit 3 with the library's message and no
-traceback.  Float seeds, budgets and trials have no CLI row: argparse
+:class:`DomainError` and, where a flag or a file carries the value, the
+same input through the CLI, which must exit 3 with the library's message
+and no traceback.  Float seeds, budgets and trials have no CLI row: argparse
 refuses them as usage errors (exit 2) before the library sees them.
 """
 
@@ -19,15 +20,18 @@ from colsel import (
     check_inf1_reduction,
     check_inf2_reduction,
     cli,
+    condition_number,
     dumps_report,
     groth_factorize,
     groth_optimal_alpha,
     hollow_gram,
     kt_select,
     load_matrix,
+    max_eig_pair,
     pietsch_factorize,
     pietsch_optimal_alpha,
     sample_projector,
+    spectral_norm,
     standardize,
 )
 from colsel.grothendieck import improve_sign_witness_inf1
@@ -40,7 +44,9 @@ DOUBLE_ID = standardize(np.hstack([np.eye(8), np.eye(8)]))
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 
-FILES = {"eye": EYE, "zero": ZERO, "nonstd": NONSTD, "dblid": DOUBLE_ID}
+FILES = {"eye": EYE, "zero": ZERO, "nonstd": NONSTD, "dblid": DOUBLE_ID,
+         "nan": np.array([[1.0, 2.0], [math.nan, 3.0]]),
+         "inf": np.array([[1.0, math.inf], [2.0, 3.0]])}
 
 
 def row(name, call, argv=None, match=None):
@@ -129,10 +135,24 @@ def _io_rows():
               match="unknown matrix format 'tsv'")
     yield row("dumps-report-object", lambda: dumps_report(object()),
               match="cannot serialize object into a report")
+    for name in ("nan", "inf"):
+        yield row(f"load-matrix-{name}", lambda name=name: load_matrix(name),
+                  ["oracle", "--kind", "inf2", name], "matrix contains non-finite entries")
+
+
+def _linalg_rows():
+    yield row("spectral-norm-1d", lambda: spectral_norm(np.ones(3)),
+              match="matrix must be 2-dimensional")
+    yield row("max-eig-pair-not-square", lambda: max_eig_pair(np.ones((2, 3))),
+              match="matrix must be square")
+    yield row("max-eig-pair-empty", lambda: max_eig_pair(np.zeros((0, 0))),
+              match="matrix must have at least one row")
+    yield row("condition-number-no-columns", lambda: condition_number(np.zeros((3, 0))),
+              match="condition number needs at least one column")
 
 
 REFUSALS = [*_selection_rows(), *_experiment_rows(), *_budget_rows(), *_standardization_rows(),
-            *_ascent_rows(), *_io_rows()]
+            *_ascent_rows(), *_io_rows(), *_linalg_rows()]
 
 
 @pytest.fixture
@@ -144,12 +164,14 @@ def csv_dir(tmp_path):
 
 
 @pytest.mark.parametrize("call, argv, match", REFUSALS)
-def test_refusal(capsys, csv_dir, call, argv, match):
+def test_refusal(capsys, monkeypatch, csv_dir, call, argv, match):
+    # Files are named relative to csv_dir, so a message naming one is the same
+    # from the library and the CLI.
+    monkeypatch.chdir(csv_dir)
     with pytest.raises(DomainError, match=match) as refused:
         call()
     if argv is None:
         return
-    argv = argv[:-1] + [str(csv_dir / argv[-1])]
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 3
