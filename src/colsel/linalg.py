@@ -1,12 +1,21 @@
-"""Dense matrix utilities: norms, spectral quantities, and an extreme
-eigenpair solver for symmetric matrices.
+"""Dense matrix utilities: norms, spectral quantities, and extreme
+eigenpair solvers for symmetric matrices.
 
 The public functions validate anything convertible to a 2-d float ndarray
-and treat inputs as immutable.  The eigen kernel :func:`_top_pair` trusts
-its caller, a solver passing an array it built; :func:`max_eig_pair` checks
-and calls it, and all it backs inherits its residual-based accuracy contract.
-:func:`_spectral_norm` is :func:`spectral_norm` on that kernel, for a factor
-a solver built.
+and treat inputs as immutable.  The eigen kernels trust their caller, a
+solver passing an array it built, and hold a pair to one contract: a unit
+vector, its measured residual and ``residual <= EIG_TOL max(1, ||H||_F)``.
+:func:`_top_pair`, a dense ``eigh``, backs every solve; :func:`max_eig_pair`
+checks its input and calls it, and :func:`_spectral_norm` is
+:func:`spectral_norm` on it, for a factor a solver built.
+:func:`_krylov_top_pair` finds the top pair by Lanczos iteration and returns
+it only when a Cholesky factor proves that no eigenvalue lies above it; the
+Pietsch program's shifted evaluations of order 128 and more try it first and
+fall back to :func:`_top_pair` when it refuses (:mod:`colsel.pietsch`).
+Everything else stays dense: the spectral-norm Grams, on which Lanczos
+took 36-56 steps at order 128 and lost to ``eigh``, and the level-free
+spectra, whose top vectors start the sign-witness ascents, so their bits
+must not move.
 """
 
 import math
@@ -25,6 +34,16 @@ RANK_RTOL = 1e-12
 # ``max(1, ||H||_F)``.  A dense ``eigh`` is accurate to rounding; this only
 # decides when a residual is refused, it does not set the accuracy.
 EIG_TOL = 1e-12
+# Lanczos steps a Krylov solve takes before it refuses; the isolated top
+# pairs of the Pietsch evaluations in the kt benchmark converge in 12-32.
+KRYLOV_STEPS = 48
+# Steps between a Krylov solve's convergence checks, each an ``eigh`` of its
+# tridiagonal matrix.
+KRYLOV_CHECK = 4
+# A Krylov solve stops once its residual estimate is below this fraction of
+# ``EIG_TOL max(1, ||H||_F)``, which leaves its pair as accurate as eigh's.
+KRYLOV_RTOL = 1e-2
+_UNIT_ROUNDOFF = 2.0**-53  # of a float rounded to nearest
 
 
 def as_matrix(a, name="matrix"):
@@ -129,6 +148,92 @@ def _top_pair(h):
     resid = math.sqrt(float(r @ r))
     _require_residual(resid, lambda: math.sqrt(float(np.sum(h * h))))
     return EigPair(lam, v, resid)
+
+
+def _krylov_top_pair(h):
+    """The top pair of a nonempty symmetric finite ``h`` by Lanczos iteration
+    with full reorthogonalization, or ``None`` when the pair is not proven.
+
+    The iteration starts from the fixed unit vector proportional to ``(sin 1,
+    ..., sin n)``, which no sign pattern of an input is likely to be
+    orthogonal to.  Every ``KRYLOV_CHECK`` steps, and at once when the Krylov
+    space is invariant within tolerance, it takes the top Ritz pair of its
+    tridiagonal matrix, and it stops when that pair's residual estimate is
+    below ``KRYLOV_RTOL EIG_TOL max(1, ||H||_F)`` or after ``KRYLOV_STEPS``
+    steps.  The pair is returned only if its measured residual passes
+    :func:`_top_pair`'s test and :func:`_proves_top` proves that no
+    eigenvalue lies above its value by more than a rounding margin: a Krylov
+    space that misses the top eigenvector gives a lower Ritz value with as
+    small a residual, and only the proof tells the two apart.
+    """
+    n = h.shape[0]
+    scale = max(1.0, math.sqrt(float(np.sum(h * h))))
+    tol = KRYLOV_RTOL * EIG_TOL * scale
+    steps = min(KRYLOV_STEPS, n)
+    q = np.empty((steps, n))
+    start = np.sin(np.arange(1.0, n + 1.0))
+    q[0] = start / math.sqrt(float(start @ start))
+    diag, off = np.empty(steps), np.empty(steps)
+    for k in range(steps):
+        basis = q[:k + 1]
+        w = h @ q[k]
+        c = basis @ w
+        w -= c @ basis
+        c2 = basis @ w  # Gram-Schmidt twice keeps the basis orthogonal to rounding
+        w -= c2 @ basis
+        diag[k] = c[k] + c2[k]
+        off[k] = math.sqrt(float(w @ w))
+        last = k + 1 == steps
+        if (k + 1) % KRYLOV_CHECK == 0 or off[k] <= tol or last:
+            t = np.diag(diag[:k + 1]) + np.diag(off[:k], 1) + np.diag(off[:k], -1)
+            values, vectors = np.linalg.eigh(t)
+            y = vectors[:, -1]
+            if off[k] * abs(float(y[-1])) <= tol or last:
+                break
+        q[k + 1] = w / off[k]
+    theta = float(values[-1])
+    v = y @ basis
+    v /= math.sqrt(float(v @ v))
+    r = h @ v - theta * v
+    resid = math.sqrt(float(r @ r))
+    if resid > EIG_TOL * scale or not _proves_top(h, theta):
+        return None
+    return EigPair(theta, v, resid)
+
+
+def _proves_top(h, theta):
+    """Whether a Cholesky factor proves ``lambda_max(h) <= c + mu`` for the
+    shift ``c = theta + delta`` and Rump's margin ``mu <= delta``.
+
+    If a floating-point Cholesky factorization of ``M = fl(c I - h)`` (order
+    ``n``, unit roundoff ``u``) completes, ``M + E = R^T R`` with ``||E||_2 <=
+    gamma_{n+1} / (1 - gamma_{n+1}) tr(M)`` (Demmel), and ``M`` differs from
+    ``c I - h`` by the rounding of its diagonal, at most ``u max m_ii``; with a
+    term for underflow that is Rump's margin ``mu`` ("Verification of
+    positive definiteness", BIT 2006), bounded here by ``2 (n + 1) u tr(M) + u
+    max m_ii + 4 n (2 n + 4 + max m_ii) 2^-1074``.  The shift ``delta``,
+    twice that bound taken with ``theta - h_ii`` for ``m_ii``, lets the
+    factorization complete when ``theta`` is the top eigenvalue; ``mu <=
+    delta`` is checked on the factored matrix.
+    """
+    n = h.shape[0]
+    idx = np.arange(n)
+
+    def margin(d):
+        return (2.0 * (n + 1) * _UNIT_ROUNDOFF * float(np.sum(d))
+                + _UNIT_ROUNDOFF * float(d.max())
+                + 4.0 * n * (2.0 * n + 4.0 + float(d.max())) * math.ulp(0.0))
+
+    delta = 2.0 * margin(np.abs(theta - h[idx, idx]))
+    m = -h
+    m[idx, idx] += theta + delta
+    if not margin(np.abs(m[idx, idx])) <= delta:
+        return False
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _require_residual(resid, frobenius):

@@ -22,9 +22,13 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import EigPair, _ldexp, _require_residual, _top_pair, _unit_scaled, as_matrix
+from .linalg import (EigPair, _krylov_top_pair, _ldexp, _require_residual, _top_pair,
+                     _unit_scaled, as_matrix)
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
+
+# Order from which a shifted evaluation tries the Krylov kernel first.
+KRYLOV_ORDER = 128
 
 PietschFactorization = Factorization
 
@@ -43,6 +47,7 @@ class PietschObjective(EigenProgram):
     power = 2
     constant = PIETSCH_CONSTANT
     name = "B"
+    _krylov = True  # until the Krylov kernel refuses one of this program's solves
 
     def __init__(self, b, alpha):
         self.b = b
@@ -55,10 +60,25 @@ class PietschObjective(EigenProgram):
         return (_top_pair(self._column_gram()) if m >= s else _short_side_pair(self.b),)
 
     def _shifted(self, f):
-        """The top pair of ``B^T B - level diag(f)``."""
+        """The top pair of ``B^T B - level diag(f)``.
+
+        From order ``KRYLOV_ORDER`` on, the Krylov kernel is tried first: the
+        top eigenvalue of these matrices is isolated on clustered inputs,
+        where a dense ``eigh`` of order 128-256 costs several times a Lanczos
+        run and its Cholesky proof.  A refusal (a slow gap, or a Krylov space
+        that missed the top) falls back to the dense kernel, which then solves
+        the rest of this program's evaluations, so a slow-gap input wastes at
+        most one attempt per factorization.  The level-free pair stays dense:
+        its top vector starts the sign-witness ascent of a bracket.
+        """
         h = self._column_gram().copy()
         idx = np.arange(f.size)
         h[idx, idx] -= self.level * f
+        if self._krylov and f.size >= KRYLOV_ORDER:
+            pair = _krylov_top_pair(h)
+            if pair is not None:
+                return (pair,)
+            self._krylov = False
         return (_top_pair(h),)
 
     def _column_gram(self):

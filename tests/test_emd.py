@@ -217,11 +217,22 @@ def test_bundle_cut_stops_an_infeasible_order_256_solve_early(monkeypatch):
     centers, _ = np.linalg.qr(rng.standard_normal((64, 2)))
     b = standardize(centers[:, np.arange(256) % 2] + 0.03 * rng.standard_normal((64, 256)))
     runs = _record_solves(monkeypatch)
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counted(h, *args, **kwargs):
+        orders.append(h.shape[-1])
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
     fact = pietsch_factorize(b, 8.0 * PIETSCH_CONSTANT * 16.0)
     (run,) = runs
     assert fact.eta > 0.0
     assert run.exit == "gap"
     assert run.iterations <= 8
+    # The shifted evaluations are proven Lanczos pairs: the only dense solves
+    # are of order 64 (the short side) and of the Lanczos tridiagonals.
+    assert orders and 256 not in orders
 
 
 def test_order_8_solves_run_without_the_bundle_cut(monkeypatch):

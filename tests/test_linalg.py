@@ -17,6 +17,11 @@ from colsel import (
     standardize,
 )
 
+import colsel.linalg
+import colsel.pietsch
+from colsel.linalg import EIG_TOL, _krylov_top_pair, _proves_top
+from colsel.pietsch import PietschObjective
+
 from oracles import jacobi_max_eigenvalue
 
 DOUBLE_IDENTITY_2x4 = np.hstack([np.eye(2), np.eye(2)])
@@ -228,3 +233,92 @@ def test_max_eig_pair_zero_matrix():
 def test_max_eig_pair_tiny_matrix_is_not_zero():
     h = np.diag([3.0, 1.0, -2.0])
     assert max_eig_pair(1e-170 * h).value == pytest.approx(3e-170, rel=1e-12, abs=0.0)
+
+
+def _missed_top(n):
+    """A symmetric ``h`` of order ``n`` on which Lanczos from the kernel's start
+    vector converges to the Ritz value 1, below the top eigenvalue 2.
+
+    The start vector and two orthonormal columns span an invariant subspace on
+    which ``h`` acts as the tridiagonal ``[[0, c, 0], [c, 0, c], [0, c, 0]]``,
+    ``c = 1/sqrt 2`` (eigenvalues -1, 0 and 1), the top eigenvector is a fourth
+    orthonormal column, and the rest of the spectrum is -1.  The subspace is
+    invariant to rounding, so the third Lanczos step finds it.
+    """
+    start = np.sin(np.arange(1.0, n + 1.0))  # the kernel's start, up to its norm
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(np.column_stack([start, rng.standard_normal((n, 3))]))
+    block = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+    h = -np.eye(n) + q[:, :3] @ (block + np.eye(3)) @ q[:, :3].T + 3.0 * np.outer(q[:, 3], q[:, 3])
+    return (h + h.T) / 2.0  # exactly symmetric
+
+
+def test_krylov_kernel_refuses_a_krylov_space_that_misses_the_top(monkeypatch):
+    h = _missed_top(128)
+    assert np.linalg.eigvalsh(h)[-1] == pytest.approx(2.0, abs=1e-12)
+    proofs = []
+
+    def recorded(h, theta):
+        proven = _proves_top(h, theta)
+        proofs.append((theta, proven))
+        return proven
+
+    monkeypatch.setattr(colsel.linalg, "_proves_top", recorded)
+    assert _krylov_top_pair(h) is None
+    # The Ritz pair passed the residual test; only the Cholesky proof refused it.
+    ((theta, proven),) = proofs
+    assert theta == pytest.approx(1.0, abs=1e-12)
+    assert not proven
+
+
+def test_a_refused_pietsch_evaluation_falls_back_to_the_dense_top(monkeypatch):
+    # B^T B - alpha^2 diag(f) is _missed_top's matrix to rounding: alpha^2 f
+    # >= 5, so h + alpha^2 diag(f) is positive definite, with Cholesky factor B.
+    h = _missed_top(128)
+    f = np.linspace(1.0, 2.0, 128)
+    f /= f.sum()
+    alpha = 32.0
+    b = np.linalg.cholesky(h + alpha**2 * np.diag(f)).T
+    attempts = []
+
+    def recorded(h):
+        pair = _krylov_top_pair(h)
+        attempts.append(pair)
+        return pair
+
+    monkeypatch.setattr(colsel.pietsch, "_krylov_top_pair", recorded)
+    program = PietschObjective(b, alpha)
+    value = program(f).value
+    assert attempts == [None]
+    top = np.linalg.eigvalsh(b.T @ b - alpha**2 * np.diag(f))[-1]
+    assert value == pytest.approx(top, rel=1e-12, abs=0.0)
+    assert top == pytest.approx(2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("clusters", [1, 2])
+def test_krylov_kernel_finds_an_isolated_top_pair(clusters):
+    # Columns from tight clusters, shifted by uneven weights: the shape of the
+    # Pietsch evaluations the kernel serves.
+    rng = np.random.default_rng(clusters)
+    n = 160
+    centers, _ = np.linalg.qr(rng.standard_normal((48, clusters)))
+    b = standardize(centers[:, np.arange(n) % clusters] + 0.03 * rng.standard_normal((48, n)))
+    h = b.T @ b - 40.0 * np.diag(rng.dirichlet(np.ones(n)) * n)
+    pair = _krylov_top_pair(h)
+    dense = max_eig_pair(h)
+    scale = max(1.0, np.linalg.norm(h, "fro"))
+    assert pair is not None
+    assert abs(pair.value - dense.value) <= EIG_TOL * scale
+    assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-12)
+    resid = np.linalg.norm(h @ pair.vector - pair.value * pair.vector)
+    assert pair.residual == pytest.approx(resid, rel=1e-6, abs=1e-15)
+    assert pair.residual <= EIG_TOL * scale
+
+
+def test_cholesky_proof_holds_at_the_top_and_fails_below_it():
+    h = _missed_top(128)
+    top = np.linalg.eigvalsh(h)[-1]
+    assert _proves_top(h, top)
+    assert not _proves_top(h, top - 1e-9)
+    assert not _proves_top(h, 1.0)
+    assert _proves_top(np.zeros((3, 3)), 0.0)

@@ -303,6 +303,59 @@ def test_kt_select_wide_input_only_diagonalizes_the_short_side(monkeypatch):
     assert orders and max(orders) <= 16
 
 
+def _wide_input(kind, m, s, rng):
+    """A standardized ``m x s`` input: one or two tight clusters of columns
+    (an isolated top eigenvalue) or a Gaussian (a slow gap at the top)."""
+    if kind == "gaussian":
+        return standardize(rng.standard_normal((m, s)))
+    k = 1 if kind == "one-cluster" else 2
+    centers, _ = np.linalg.qr(rng.standard_normal((m, k)))
+    return standardize(centers[:, np.arange(s) % k] + 0.03 * rng.standard_normal((m, s)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["one-cluster", "two-cluster", "gaussian"]),
+    m=st.integers(2, 64),
+    s=st.integers(128, 192),
+    seed=st.integers(0, 2**32 - 1),
+    ratio=st.floats(0.5, 12.0),
+)
+def test_krylov_evaluations_match_the_dense_top(kind, m, s, seed, ratio):
+    # From order 128 the evaluation tries the Krylov kernel; whether it takes
+    # the proven Lanczos pair or falls back to eigh, the value is the top.
+    rng = np.random.default_rng(seed)
+    b = _wide_input(kind, m, s, rng)
+    alpha = ratio * math.sqrt(s)
+    f = rng.dirichlet(np.ones(s))
+    h = b.T @ b - alpha**2 * np.diag(f)
+    sample = pietsch_objective(b, alpha, f)
+    top = np.linalg.eigvalsh(h)[-1]
+    assert abs(sample.value - top) <= EIG_TOL * max(1.0, np.linalg.norm(h, "fro"))
+
+
+def test_a_slow_gap_factorization_makes_at_most_one_krylov_attempt(monkeypatch):
+    # The top of a Gaussian B^T B is not isolated: Lanczos does not converge
+    # within its step cap, and after that refusal the solve stays dense.
+    b = standardize(np.random.default_rng(0).standard_normal((64, 256)))
+    alpha = 2.0 * math.sqrt(256)
+    attempts = []
+    krylov_top_pair = colsel.pietsch._krylov_top_pair
+
+    def counted(h):
+        pair = krylov_top_pair(h)
+        attempts.append(pair)
+        return pair
+
+    monkeypatch.setattr(colsel.pietsch, "_krylov_top_pair", counted)
+    fact = pietsch_factorize(b, alpha, emd_budget=25)
+    assert attempts == [None]
+    monkeypatch.setattr(colsel.pietsch, "KRYLOV_ORDER", b.shape[1] + 1)
+    dense = pietsch_factorize(b, alpha, emd_budget=25)
+    assert len(attempts) == 1
+    np.testing.assert_allclose(fact.d, dense.d, rtol=0.0, atol=1e-12)
+
+
 class Program(NamedTuple):
     """A factorization program as the scaling tests see it."""
 

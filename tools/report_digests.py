@@ -1,5 +1,5 @@
 """Print the SHA-256 of every seeded benchmark report, one line per job,
-and the dense eigensolves of each job list.
+and the dense eigensolves and Cholesky factorizations of each job list.
 
 Usage (from any directory, no options)::
 
@@ -8,19 +8,24 @@ Usage (from any directory, no options)::
 For each workload of ``perfbench/workloads.py`` and each seed 1-10 and the
 holdout 90017, the tool writes the workload's matrices to a temporary
 directory and runs every job in-process through ``colsel.cli.main`` from
-this checkout's ``src``, with ``numpy.linalg.eigh`` wrapped.  Each job
-prints a line ``workload/seed/job sha256``, where ``job`` is the job's index
-in the workload's list; after the jobs of a workload and seed comes a line
-``workload/seed eigh_calls N sum_n3 M``, where ``N`` counts the eigensolves
-and ``M`` sums ``n^3`` over the order ``n`` of each matrix solved: 451 + 44
-= 495 lines in all.  Two checkouts print the same digest lines exactly when
-every report, ``config`` included, is byte-identical, and the same eigh
-lines when they make the same eigensolves; the wrapper sees every solve,
-the private eigen kernel's included, which the benchmark's traced
-``linalg.eig_*`` metrics (spans around the public ``max_eig_pair``) do not.
+this checkout's ``src``, with ``numpy.linalg.eigh`` and
+``numpy.linalg.cholesky`` wrapped.  Each job prints a line ``workload/seed/job
+sha256``, where ``job`` is the job's index in the workload's list; after the
+jobs of a workload and seed comes a line ``workload/seed eigh_calls N sum_n3 M
+cholesky_calls C``, where ``N`` counts the eigensolves, ``M`` sums ``n^3``
+over the order ``n`` of each matrix solved and ``C`` counts the Cholesky
+factorizations (the proofs of the Krylov eigen kernel): 451 + 44 = 495 lines
+in all.  The eigensolves include the small tridiagonal ones of the Krylov
+kernel's Lanczos runs.  Two checkouts print the same digest lines exactly
+when every report, ``config`` included, is byte-identical, and the same
+count lines when they make the same eigensolves and factorizations; the
+wrappers see every solve, the private eigen kernels' included, which the
+benchmark's traced ``linalg.eig_*`` metrics (spans around the public
+``max_eig_pair``) do not.
 So comparing a change with its parent is a ``diff`` of two outputs.
-Digests are not committed: BLAS builds differ in the last bits; the eigh
-counts do not depend on the machine.  Each report must also read back to
+Digests are not committed: BLAS builds differ in the last bits; the counts
+do not depend on the machine, unless such a bit moves a Lanczos convergence
+test across its threshold.  Each report must also read back to
 its own text (``dumps_report(json.loads(text)) == text``).  The exit status
 is 1 if any job exits nonzero or any report fails that check.
 """
@@ -54,14 +59,19 @@ SEEDS = (*range(1, 11), 90017)
 
 
 def main():
-    calls = []
-    eigh = np.linalg.eigh
+    calls, factorizations = [], []
+    eigh, cholesky = np.linalg.eigh, np.linalg.cholesky
 
     def counted(h, *args, **kwargs):
         calls.append(h.shape[-1])
         return eigh(h, *args, **kwargs)
 
-    np.linalg.eigh = counted  # left in place: the process ends after the jobs
+    def counted_cholesky(m, *args, **kwargs):
+        factorizations.append(m.shape[-1])
+        return cholesky(m, *args, **kwargs)
+
+    # Left in place: the process ends after the jobs.
+    np.linalg.eigh, np.linalg.cholesky = counted, counted_cholesky
     failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name in workloads.WORKLOADS:
@@ -72,6 +82,7 @@ def main():
                 for matrix_name, matrix in workload.matrices.items():
                     workloads.write_csv(directory / matrix_name, matrix)
                 calls.clear()
+                factorizations.clear()
                 for index, job in enumerate(workload.jobs):
                     argv = job.argv[:-1] + [str(directory / job.argv[-1])]
                     out, err = io.StringIO(), io.StringIO()
@@ -89,7 +100,8 @@ def main():
                     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
                     print(f"{name}/{seed}/{index} {digest}", flush=True)
                 print(f"{name}/{seed} eigh_calls {len(calls)} "
-                      f"sum_n3 {sum(n**3 for n in calls)}", flush=True)
+                      f"sum_n3 {sum(n**3 for n in calls)} "
+                      f"cholesky_calls {len(factorizations)}", flush=True)
     return 1 if failed else 0
 
 
