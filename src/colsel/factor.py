@@ -8,13 +8,13 @@ simplex iff ``A`` factors through ``D = diag(sqrt f)`` with ``||T|| <=
 alpha``.  Its members: ``power`` ``p`` (2 for Pietsch, 1 for Grothendieck),
 the bracket ``constant``, ``name`` (the input's name in messages), ``level``
 (``alpha^p``), ``improve(x)`` (sign-witness ascent), ``split(d)``/``join(t,
-d)`` (``T`` from ``D``, and the input back from both) and two solves of each
-branch's top eigenpair: ``_level_free()`` and ``_shifted(f)``.  The base
-class owns the rest: the constant-weight rule (the level-free pairs, solved
-once per program, give every branch pair at constant ``f`` and ``t_norm(t,
-d)``, the measured ``||T||``, at constant ``d``), the evaluation
-``program(f)`` and ``certified(f)``, an upper bound on ``lambda(f)`` that
-reuses the pairs of the best point (see :class:`EigenProgram`).
+d)`` (``T`` from ``D``, and the input back from both) and ``_branches``, the
+level-free branch matrices ``H``: ``lambda(f)`` is the largest top eigenvalue
+of an ``H - level diag(f)``.  The base class owns the rest: each branch's top
+pair (see :class:`EigenProgram`), the constant-weight rule (the level-free
+pairs give every pair at constant ``f`` and ``t_norm(t, d)``, the measured
+``||T||``, at constant ``d``), the evaluation ``program(f)`` and
+``certified(f)``, an upper bound on ``lambda(f)`` at the best point's pairs.
 
 The public solvers convert their input once and hand it here; the core owns
 the other checks (a column, a finite ``||A||_F``, a finite ``alpha > 0`` whose
@@ -46,8 +46,8 @@ import numpy as np
 
 from .emd import SubgradientSample, emd_minimize
 from .errors import DomainError, SolverError, _require_budget
-from .linalg import (EigPair, _ldexp, _scaled_back, _spectral_norm, _unit_scaled,
-                     frobenius_norm)
+from .linalg import (EigPair, _krylov_top_pair, _ldexp, _scaled_back, _spectral_norm,
+                     _top_pair, _unit_scaled, frobenius_norm)
 
 # Only exactly-zero weights (mirror-descent underflow) take the
 # pseudoinverse zero-column path; a certified nonpositive objective forces
@@ -67,17 +67,20 @@ MAX_PROBES = 48
 # (uniform weights give ||T|| <= s ||A||_F, and ||A||_F^2 < m s at unit scale).
 MAX_UNIT_LEVEL = 2.0**480
 
+# Order from which a shifted solve of a ``_krylov`` program tries Lanczos first.
+KRYLOV_ORDER = 128
+
 
 class EigenProgram:
     """An eigenvalue program at one level: its value is the largest of its
     branches' top values.
 
-    A program supplies ``_level_free()``, the top pair of each branch at
-    level 0, and ``_shifted(f)``, the pairs at ``level`` for non-constant
-    ``f``.  At constant weights the shift ``level F`` is ``c I``, ``c = level
-    f_0``, so each pair is a level-free pair ``(mu, u)`` moved to ``(mu - c,
-    u)`` with the same residual; those are solved once per program, on first
-    use, and also give ``||T||`` at constant ``d`` (:meth:`t_norm`).
+    A program supplies ``_branches``, formed on first use; the core solves
+    their top pairs, dense at level 0 (:meth:`_level_free`) and by
+    :meth:`_shifted` at non-constant ``f``.  At constant weights the shift
+    ``level F`` is ``c I``, ``c = level f_0``, so each pair is a level-free
+    pair ``(mu, u)`` moved to ``(mu - c, u)`` with the same residual; those
+    are solved once per program and also give ``||T||`` at constant ``d``.
 
     A program keeps the pairs of its lowest-value point, the first to reach
     that value (the point ``emd_minimize`` returns), keyed by the exact bytes
@@ -88,10 +91,37 @@ class EigenProgram:
     """
 
     _best = None  # (value, f bytes, branch pairs) of the lowest-value point
+    _krylov = False  # True: shifted solves try the Krylov kernel until it refuses one
 
     @functools.cached_property
     def _spectrum(self):  # the level-free branch pairs
         return self._level_free()
+
+    def _level_free(self):
+        """Each branch's top pair, dense: it starts a bracket's ascent."""
+        return [_top_pair(branch) for branch in self._branches]
+
+    def _shifted(self, f):
+        """The top pair of each ``H - level diag(f)``; a tie goes to the first.
+
+        With ``_krylov`` set, from order ``KRYLOV_ORDER`` on, Lanczos goes
+        first: the Pietsch top is isolated on clustered inputs, where an
+        ``eigh`` of order 128-256 costs several Lanczos runs and proofs.  Its
+        first refusal (a slow gap, or a Krylov space that missed the top)
+        leaves the rest of the program's solves to ``eigh``, so a slow-gap
+        input wastes at most one attempt per factorization.
+        """
+        shift = self.level * f
+        pairs = []
+        for branch in self._branches:
+            h = branch.copy()
+            h.reshape(-1)[:: f.size + 1] -= shift  # the diagonal, in place
+            pair = None
+            if self._krylov and f.size >= KRYLOV_ORDER:
+                pair = _krylov_top_pair(h)
+                self._krylov = pair is not None
+            pairs.append(_top_pair(h) if pair is None else pair)
+        return pairs
 
     def _pairs(self, f):
         """The top pair of each branch at ``f``."""

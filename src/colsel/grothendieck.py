@@ -5,8 +5,8 @@ reduces to nonpositivity of the top eigenvalue of the block matrix
 ``[[-alpha F, G], [G, -alpha F]]`` with ``F = D^2`` on the simplex.  A
 congruence by the orthogonal matrix ``(1/sqrt 2) [[I, I], [-I, I]]`` splits
 that block spectrum into the spectra of ``G - alpha F`` and ``-G - alpha F``,
-so the objective is evaluated with two half-size eigensolves instead of one
-double-size solve.
+so the program's branches are ``G`` and ``-G``: two half-size eigensolves
+instead of one double-size solve, both dense (:mod:`colsel.linalg`).
 
 :class:`GrothObjective` is that program (``p = 1``, linear in ``alpha``) for
 the factorization core :mod:`colsel.factor`.  The bracket constant is the
@@ -14,6 +14,7 @@ real Grothendieck constant, known to lie in
 ``[pi/2, pi / (2 log(1 + sqrt 2))]``.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import _ldexp, _require_symmetric, _top_pair, _unit_scaled, as_matrix
+from .linalg import _ldexp, _require_symmetric, _unit_scaled, as_matrix
 
 GROTHENDIECK_LOWER = math.pi / 2.0
 GROTHENDIECK_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -70,14 +71,9 @@ class GrothObjective(EigenProgram):
         self.g = g
         self.level = alpha
 
-    def _level_free(self):
-        """Top eigenpairs of ``G`` and ``-G``."""
-        return [_top_pair(signed) for signed in (self.g, -self.g)]
-
-    def _shifted(self, f):
-        """Top eigenpairs of ``G - level F`` and ``-G - level F``; a tie goes to ``+G``."""
-        shift = np.diag(self.level * f)
-        return [_top_pair(signed - shift) for signed in (self.g, -self.g)]
+    @functools.cached_property
+    def _branches(self):  # a tie goes to +G
+        return (self.g, -self.g)
 
     def improve(self, x):
         return improve_sign_witness_inf1(self.g, x)

@@ -10,12 +10,12 @@ checks its input and calls it, and :func:`_spectral_norm` is
 :func:`spectral_norm` on it, for a factor a solver built.
 :func:`_krylov_top_pair` finds the top pair by Lanczos iteration and returns
 it only when a Cholesky factor proves that no eigenvalue lies above it; the
-Pietsch program's shifted evaluations of order 128 and more try it first and
-fall back to :func:`_top_pair` when it refuses (:mod:`colsel.pietsch`).
-Everything else stays dense: the spectral-norm Grams, on which Lanczos
-took 36-56 steps at order 128 and lost to ``eigh``, and the level-free
-spectra, whose top vectors start the sign-witness ascents, so their bits
-must not move.
+core's shifted Pietsch solves of order 128 and more try it first and fall
+back to :func:`_top_pair` when it refuses (:mod:`colsel.factor`).  The rest
+stays dense: the spectral-norm Grams, on which Lanczos took 36-56 steps at
+order 128 and lost to ``eigh``; the Grothendieck solves, whose top is a
+cluster on wide inputs; and the level-free spectra, whose top vectors start
+the sign-witness ascents, so their bits must not move.
 """
 
 import math

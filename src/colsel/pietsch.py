@@ -7,6 +7,7 @@ core :mod:`colsel.factor`, whose bracket for the NP-hard ``||B||_{inf->2}``
 is within the constant ``K_P = sqrt(pi/2)`` for the real field.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -22,13 +23,9 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import (EigPair, _krylov_top_pair, _ldexp, _require_residual, _top_pair,
-                     _unit_scaled, as_matrix)
+from .linalg import EigPair, _ldexp, _require_residual, _top_pair, _unit_scaled, as_matrix
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
-
-# Order from which a shifted evaluation tries the Krylov kernel first.
-KRYLOV_ORDER = 128
 
 PietschFactorization = Factorization
 
@@ -36,55 +33,31 @@ PietschFactorization = Factorization
 class PietschObjective(EigenProgram):
     """Evaluator for ``lambda_max(B^T B - alpha^2 diag(f))``, one branch.
 
-    Its level-free pair is the top pair ``(mu, u)`` of ``B^T B``, solved on
-    ``B^T B`` or, for an ``m x s`` matrix with ``m < s``, on the ``m x m``
-    Gram ``B B^T``, whose top vector ``v`` gives ``u = B^T v / ||B^T v||``.
-    The ``s x s`` Gram is formed on first use.  The class is the Pietsch
-    program of :mod:`colsel.factor`.  ``B`` and ``alpha`` are trusted;
-    outside input goes through :func:`pietsch_objective`.
+    Its branch is ``B^T B``, formed on first use.  Its level-free pair is
+    solved on ``B^T B`` or, for an ``m x s`` matrix with ``m < s``, on the
+    ``m x m`` Gram ``B B^T``, whose top vector ``v`` gives ``u = B^T v /
+    ||B^T v||``, so a wide solve feasible at the start never forms ``B^T B``.
+    Its shifted solves try Lanczos first.  It is the Pietsch program of
+    :mod:`colsel.factor`; ``B`` and ``alpha`` are trusted, outside input goes
+    through :func:`pietsch_objective`.
     """
 
     power = 2
     constant = PIETSCH_CONSTANT
     name = "B"
-    _krylov = True  # until the Krylov kernel refuses one of this program's solves
+    _krylov = True
 
     def __init__(self, b, alpha):
         self.b = b
         self.level = alpha**2
-        self._gram = None
 
-    def _level_free(self):
-        """The top pair of ``B^T B``, from the smaller Gram."""
+    @functools.cached_property
+    def _branches(self):
+        return (self.b.T @ self.b,)
+
+    def _level_free(self):  # from the smaller Gram
         m, s = self.b.shape
-        return (_top_pair(self._column_gram()) if m >= s else _short_side_pair(self.b),)
-
-    def _shifted(self, f):
-        """The top pair of ``B^T B - level diag(f)``.
-
-        From order ``KRYLOV_ORDER`` on, the Krylov kernel is tried first: the
-        top eigenvalue of these matrices is isolated on clustered inputs,
-        where a dense ``eigh`` of order 128-256 costs several times a Lanczos
-        run and its Cholesky proof.  A refusal (a slow gap, or a Krylov space
-        that missed the top) falls back to the dense kernel, which then solves
-        the rest of this program's evaluations, so a slow-gap input wastes at
-        most one attempt per factorization.  The level-free pair stays dense:
-        its top vector starts the sign-witness ascent of a bracket.
-        """
-        h = self._column_gram().copy()
-        idx = np.arange(f.size)
-        h[idx, idx] -= self.level * f
-        if self._krylov and f.size >= KRYLOV_ORDER:
-            pair = _krylov_top_pair(h)
-            if pair is not None:
-                return (pair,)
-            self._krylov = False
-        return (_top_pair(h),)
-
-    def _column_gram(self):
-        if self._gram is None:
-            self._gram = self.b.T @ self.b
-        return self._gram
+        return super()._level_free() if m >= s else (_short_side_pair(self.b),)
 
     def improve(self, x):
         return improve_sign_witness_inf2(self.b, x)

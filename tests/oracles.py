@@ -3,15 +3,20 @@
 Deliberately different algorithms from the library: a cyclic Jacobi
 eigensolver (vs LAPACK), itertools sign enumeration (vs a doubled sign
 table split between low and high columns), and a dense simplex grid (vs
-mirror descent).  The one exception is :func:`flip_ascent_inf1`, the
-(inf->1) sign-witness ascent as first written (every flip score formed
-afresh), which the library's flip-table form must match bit for bit.
+mirror descent).  The exceptions are references that the library must
+match bit for bit: :func:`flip_ascent_inf1`, the (inf->1) sign-witness
+ascent as first written (every flip score formed afresh), and the shifted
+top pairs of the two factorization programs as each program first solved
+them (:func:`pietsch_shifted_pairs`, :func:`groth_shifted_pairs`), on the
+library's dense eigen kernel.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from colsel.linalg import _top_pair
 
 
 def jacobi_eigenvalues(a, tol=1e-13, max_sweeps=60):
@@ -124,3 +129,19 @@ def flip_ascent_inf1(g, x):
         current = float(np.abs(y).sum())
     y = g @ x
     return float(np.abs(y).sum()), x
+
+
+def pietsch_shifted_pairs(b, level, f):
+    """The top pair of ``B^T B - level diag(f)``: the Gram's diagonal
+    shifted through an index array, then the dense kernel."""
+    h = b.T @ b
+    idx = np.arange(f.size)
+    h[idx, idx] -= level * f
+    return [_top_pair(h)]
+
+
+def groth_shifted_pairs(g, level, f):
+    """The top pairs of ``G - level F`` and ``-G - level F``, each formed by
+    subtracting a dense ``diag(level f)``; a tie goes to ``+G``."""
+    shift = np.diag(level * f)
+    return [_top_pair(signed - shift) for signed in (g, -g)]

@@ -1,5 +1,6 @@
-"""The factorization core solves a program's level-free spectrum once and
-reuses the pairs of its lowest-value point, and only those.
+"""The factorization core solves a program's level-free spectrum once,
+reuses the pairs of its lowest-value point, and only those, and solves the
+shifted pairs of both programs with the bits each program's own solve had.
 
 Eigensolves are counted by wrapping ``numpy.linalg.eigh``, which the eigen
 kernel looks up at each call.
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import colsel.factor
 import colsel.grothendieck
@@ -28,6 +31,7 @@ from colsel import (
 from colsel.factor import NORM_SLACK
 from colsel.grothendieck import GrothObjective
 from colsel.pietsch import PietschObjective
+from oracles import groth_shifted_pairs, pietsch_shifted_pairs
 
 
 @pytest.fixture
@@ -285,3 +289,39 @@ def test_a_residual_above_the_eig_tol_fails_the_evaluation(monkeypatch, program,
     monkeypatch.setattr(np.linalg, "eigh", perturbed)
     with pytest.raises(SolverError, match="residual"):
         program(f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    program=st.sampled_from(["pietsch", "grothendieck"]),
+    kind=st.sampled_from(["gaussian", "integer"]),
+    m=st.integers(1, 48),
+    s=st.integers(2, 48),
+    alpha=st.floats(0.25, 8.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_shifted_evaluations_keep_the_bits_of_the_per_program_solves(program, kind, m, s,
+                                                                    alpha, seed):
+    # Below KRYLOV_ORDER every shifted pair is dense, so the core's solve must
+    # give the value, subgradient and certificate that each program's own
+    # construction gave, bit for bit.
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        a = rng.standard_normal((m, s))
+    else:
+        a = rng.integers(-3, 4, size=(m, s)).astype(float)
+    f = rng.dirichlet(np.ones(s))
+    assume(f.max() != f.min())
+    if program == "pietsch":
+        matrix, cls, reference = a, PietschObjective, pietsch_shifted_pairs
+    else:
+        matrix, cls, reference = a.T @ a, GrothObjective, groth_shifted_pairs
+    evaluator = cls(matrix, alpha)
+    pairs = reference(matrix, evaluator.level, f)
+    top = max(pairs, key=lambda p: p.value)  # the first maximum
+    certificate = max(p.value + p.residual for p in pairs)
+    assert evaluator.certified(f) == certificate  # no best point yet: solved
+    value, grad = evaluator(f)  # solved again, from the same branches
+    assert value == top.value
+    assert grad.tobytes() == (-evaluator.level * top.vector**2).tobytes()
+    assert evaluator.certified(f) == certificate  # the best point's pairs

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colsel.factor
 from colsel import (
     DomainError,
     GROTHENDIECK_LOWER,
@@ -250,3 +251,29 @@ def test_flip_table_ascent_matches_fresh_scores_bit_for_bit(s, kind, exponent, s
     ref_value, ref_x = flip_ascent_inf1(g, x0)
     assert value == ref_value
     assert np.array_equal(x, ref_x)
+
+
+def test_grothendieck_shifted_solves_never_try_the_krylov_kernel(monkeypatch):
+    # For a wide A, G = A^T A - I has the eigenvalue -1 with multiplicity at
+    # least s - m, so the top of -G - level F is a cluster: the Krylov kernel
+    # refused 6 of 12 Grothendieck shifted matrices at order 128/256, and
+    # trying it first moved reports (eta of `grothendieck --alpha 64` on a
+    # 256-column hollow Gram in its 14th digit) and ran slower.
+    g = hollow_gram(standardize(np.random.default_rng(0).standard_normal((64, 128))))
+    attempts, dense = [], []
+    krylov_top_pair, top_pair = colsel.factor._krylov_top_pair, colsel.factor._top_pair
+
+    def krylov_counted(h):
+        attempts.append(h.shape[0])
+        return krylov_top_pair(h)
+
+    def dense_counted(h):
+        dense.append(h.shape[0])
+        return top_pair(h)
+
+    monkeypatch.setattr(colsel.factor, "_krylov_top_pair", krylov_counted)
+    monkeypatch.setattr(colsel.factor, "_top_pair", dense_counted)
+    fact = groth_factorize(g, 64.0, emd_budget=25)
+    assert fact.eta > 0.0  # infeasible: the descent left the uniform start
+    assert len(dense) > 2 and set(dense) == {128}  # shifted solves beyond the two level-free
+    assert attempts == []

@@ -17,8 +17,8 @@ from colsel import (
     standardize,
 )
 
+import colsel.factor
 import colsel.linalg
-import colsel.pietsch
 from colsel.linalg import EIG_TOL, _krylov_top_pair, _proves_top
 from colsel.pietsch import PietschObjective
 
@@ -286,7 +286,7 @@ def test_a_refused_pietsch_evaluation_falls_back_to_the_dense_top(monkeypatch):
         attempts.append(pair)
         return pair
 
-    monkeypatch.setattr(colsel.pietsch, "_krylov_top_pair", recorded)
+    monkeypatch.setattr(colsel.factor, "_krylov_top_pair", recorded)
     program = PietschObjective(b, alpha)
     value = program(f).value
     assert attempts == [None]

@@ -340,17 +340,17 @@ def test_a_slow_gap_factorization_makes_at_most_one_krylov_attempt(monkeypatch):
     b = standardize(np.random.default_rng(0).standard_normal((64, 256)))
     alpha = 2.0 * math.sqrt(256)
     attempts = []
-    krylov_top_pair = colsel.pietsch._krylov_top_pair
+    krylov_top_pair = colsel.factor._krylov_top_pair
 
     def counted(h):
         pair = krylov_top_pair(h)
         attempts.append(pair)
         return pair
 
-    monkeypatch.setattr(colsel.pietsch, "_krylov_top_pair", counted)
+    monkeypatch.setattr(colsel.factor, "_krylov_top_pair", counted)
     fact = pietsch_factorize(b, alpha, emd_budget=25)
     assert attempts == [None]
-    monkeypatch.setattr(colsel.pietsch, "KRYLOV_ORDER", b.shape[1] + 1)
+    monkeypatch.setattr(colsel.factor, "KRYLOV_ORDER", b.shape[1] + 1)
     dense = pietsch_factorize(b, alpha, emd_budget=25)
     assert len(attempts) == 1
     np.testing.assert_allclose(fact.d, dense.d, rtol=0.0, atol=1e-12)

@@ -14,9 +14,11 @@ sha256``, where ``job`` is the job's index in the workload's list; after the
 jobs of a workload and seed comes a line ``workload/seed eigh_calls N sum_n3 M
 cholesky_calls C``, where ``N`` counts the eigensolves, ``M`` sums ``n^3``
 over the order ``n`` of each matrix solved and ``C`` counts the Cholesky
-factorizations (the proofs of the Krylov eigen kernel): 451 + 44 = 495 lines
-in all.  The eigensolves include the small tridiagonal ones of the Krylov
-kernel's Lanczos runs.  Two checkouts print the same digest lines exactly
+factorizations (the proofs of the Krylov eigen kernel): 451 + 44 = 495 lines.
+Then the same for one more job list, ``uncovered/0``, on paths that no
+workload runs (see :func:`uncovered`): 4 + 1 lines, 500 in all.  The
+eigensolves include the small tridiagonal ones of the Krylov kernel's
+Lanczos runs.  Two checkouts print the same digest lines exactly
 when every report, ``config`` included, is byte-identical, and the same
 count lines when they make the same eigensolves and factorizations; the
 wrappers see every solve, the private eigen kernels' included, which the
@@ -53,9 +55,27 @@ sys.dont_write_bytecode = True  # read perfbench/ without writing into it
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from colsel import cli, dumps_report  # noqa: E402
+from colsel import cli, dumps_report, hollow_gram, standardize  # noqa: E402
 
 SEEDS = (*range(1, 11), 90017)
+
+
+def uncovered():
+    """The extra job list, ``uncovered/0`` (its Gaussian's seed): its
+    matrices (name -> array) and each job's argv, the matrix file last.  A
+    Pietsch solve whose Krylov attempt is refused (a Gaussian's slow gap)
+    before it goes dense, Grothendieck shifted solves of order 256, and one
+    bracket probe of each program, on ``diag(4, 3, 1, ..., 1)``, whose
+    uniform factorization does not certify its bracket."""
+    rng = np.random.default_rng(0)
+    b = standardize(rng.standard_normal((64, 256)))
+    matrices = {"b64x256.csv": b, "g256.csv": hollow_gram(b),
+                "diag8.csv": np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])}
+    jobs = [["pietsch", "--iters", "25", "--alpha", "32", "b64x256.csv"],
+            ["grothendieck", "--alpha", "64", "g256.csv"],
+            ["norm", "--kind", "inf2", "diag8.csv"],
+            ["norm", "--kind", "inf1", "diag8.csv"]]
+    return matrices, jobs
 
 
 def main():
@@ -70,6 +90,36 @@ def main():
         factorizations.append(m.shape[-1])
         return cholesky(m, *args, **kwargs)
 
+    def run_list(directory, label, matrices, jobs):
+        """Print a digest line per job and the list's count line; the number
+        of jobs that failed."""
+        directory.mkdir()
+        for matrix_name, matrix in matrices.items():
+            workloads.write_csv(directory / matrix_name, matrix)
+        calls.clear()
+        factorizations.clear()
+        failed = 0
+        for index, job in enumerate(jobs):
+            argv = job[:-1] + [str(directory / job[-1])]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            text = out.getvalue()
+            if code != 0:
+                failed += 1
+                print(f"{label}/{index}: exit {code}: {err.getvalue().strip()}",
+                      file=sys.stderr)
+            elif dumps_report(json.loads(text)) != text:
+                failed += 1
+                print(f"{label}/{index}: the report does not read back to "
+                      "its own text", file=sys.stderr)
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            print(f"{label}/{index} {digest}", flush=True)
+        print(f"{label} eigh_calls {len(calls)} "
+              f"sum_n3 {sum(n**3 for n in calls)} "
+              f"cholesky_calls {len(factorizations)}", flush=True)
+        return failed
+
     # Left in place: the process ends after the jobs.
     np.linalg.eigh, np.linalg.cholesky = counted, counted_cholesky
     failed = 0
@@ -77,31 +127,9 @@ def main():
         for name in workloads.WORKLOADS:
             for seed in SEEDS:
                 workload = workloads.build(name, seed)
-                directory = Path(tmp) / f"{name}-{seed}"
-                directory.mkdir()
-                for matrix_name, matrix in workload.matrices.items():
-                    workloads.write_csv(directory / matrix_name, matrix)
-                calls.clear()
-                factorizations.clear()
-                for index, job in enumerate(workload.jobs):
-                    argv = job.argv[:-1] + [str(directory / job.argv[-1])]
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        code = cli.main(argv)
-                    text = out.getvalue()
-                    if code != 0:
-                        failed += 1
-                        print(f"{name}/{seed}/{index}: exit {code}: {err.getvalue().strip()}",
-                              file=sys.stderr)
-                    elif dumps_report(json.loads(text)) != text:
-                        failed += 1
-                        print(f"{name}/{seed}/{index}: the report does not read back to "
-                              "its own text", file=sys.stderr)
-                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                    print(f"{name}/{seed}/{index} {digest}", flush=True)
-                print(f"{name}/{seed} eigh_calls {len(calls)} "
-                      f"sum_n3 {sum(n**3 for n in calls)} "
-                      f"cholesky_calls {len(factorizations)}", flush=True)
+                failed += run_list(Path(tmp) / f"{name}-{seed}", f"{name}/{seed}",
+                                   workload.matrices, [job.argv for job in workload.jobs])
+        failed += run_list(Path(tmp) / "uncovered", "uncovered/0", *uncovered())
     return 1 if failed else 0
 
 
