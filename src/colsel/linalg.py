@@ -5,9 +5,17 @@ The public functions validate anything convertible to a 2-d float ndarray
 and treat inputs as immutable.  The eigen kernels trust their caller, a
 solver passing an array it built, and hold a pair to one contract: a unit
 vector, its measured residual and ``residual <= EIG_TOL max(1, ||H||_F)``.
-:func:`_top_pair`, a dense ``eigh``, backs every solve; :func:`max_eig_pair`
-checks its input and calls it, and :func:`_spectral_norm` is
-:func:`spectral_norm` on it, for a factor a solver built.
+:func:`_top_pair` is the dense ``eigh``; :func:`max_eig_pair` checks its
+input and calls it.  :func:`_gram_top_pair` remembers the last Gram it
+solved and returns that pair for a Gram with the same bits: the spectral
+norms (:func:`_spectral_norm`, solved by :func:`max_eig_pair` for
+:func:`spectral_norm` and by :func:`_top_pair` for a factor a solver built)
+and the Pietsch level-free Grams go through it, so a selection's check of a
+sample that pruning kept whole reuses the factorization's solve, and a
+stable rank right after a check of every column reuses the check's.  Grothendieck's
+level-free solves (``G`` and ``-G`` alternate, so one entry holds neither),
+every shifted solve (its weights move) and :func:`max_eig_pair` bypass it,
+so ``bt``'s thousands of order-8 solves pay no comparison and evict nothing.
 :func:`_krylov_top_pair` finds the top pair by Lanczos iteration and returns
 it only when a Cholesky factor proves that no eigenvalue lies above it; the
 core's shifted Pietsch solves of order 128 and more try it first and fall
@@ -150,6 +158,34 @@ def _top_pair(h):
     return EigPair(lam, v, resid)
 
 
+# The last Gram solved through :func:`_gram_top_pair`: ``(gram, pair)``, both
+# read-only, or ``None``.
+_gram_memo = None
+
+
+def _gram_top_pair(gram, solve=_top_pair):
+    """``solve(gram)`` for a Gram matrix a solver built, remembered once.
+
+    A Gram with the shape and the bit pattern of the last one (``-0.0`` and
+    ``0.0`` differ) gets that one's pair without a solve: a fresh solve of the
+    same matrix gives the same bits.  Only a pair that ``solve`` returned, so
+    one that passed the residual test, is remembered, and only the last: the
+    caller's ``gram`` itself, made read-only like the pair's vector, so the
+    memo holds one matrix and no copy of it.  The entry is read and replaced
+    as one tuple: concurrent callers can lose an entry, never mix two.
+    """
+    global _gram_memo
+    held = _gram_memo
+    if (held is not None and held[0].shape == gram.shape
+            and np.array_equal(held[0].view(np.uint64), gram.view(np.uint64))):
+        return held[1]
+    pair = solve(gram)
+    gram.flags.writeable = False
+    pair.vector.flags.writeable = False
+    _gram_memo = (gram, pair)
+    return pair
+
+
 def _krylov_top_pair(h):
     """The top pair of a nonempty symmetric finite ``h`` by Lanczos iteration
     with full reorthogonalization, or ``None`` when the pair is not proven.
@@ -255,16 +291,18 @@ def spectral_norm(a):
     return _spectral_norm(as_matrix(a), max_eig_pair)
 
 
-def _spectral_norm(a, top_pair=_top_pair):
+def _spectral_norm(a, solve=_top_pair):
     """:func:`spectral_norm` of a finite 2-d float array, by default without
     the checks of :func:`max_eig_pair`: the Gram it builds is symmetric by
-    construction, so the bits are the same."""
+    construction, so the bits are the same.  The Gram goes through
+    :func:`_gram_top_pair`, and ``solve`` runs only when it is not the last
+    Gram solved there."""
     if a.size == 0:
         return 0.0
     a, e = _unit_scaled(a)
     m, n = a.shape
     gram = a.T @ a if n <= m else a @ a.T
-    return _ldexp(math.sqrt(max(top_pair(gram).value, 0.0)), e)
+    return _ldexp(math.sqrt(max(_gram_top_pair(gram, solve).value, 0.0)), e)
 
 
 def stable_rank(a):

@@ -23,7 +23,8 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import EigPair, _ldexp, _require_residual, _top_pair, _unit_scaled, as_matrix
+from .linalg import (EigPair, _gram_top_pair, _ldexp, _require_residual, _unit_scaled,
+                     as_matrix)
 
 PIETSCH_CONSTANT = math.sqrt(math.pi / 2.0)
 
@@ -37,9 +38,12 @@ class PietschObjective(EigenProgram):
     solved on ``B^T B`` or, for an ``m x s`` matrix with ``m < s``, on the
     ``m x m`` Gram ``B B^T``, whose top vector ``v`` gives ``u = B^T v /
     ||B^T v||``, so a wide solve feasible at the start never forms ``B^T B``.
-    Its shifted solves try Lanczos first.  It is the Pietsch program of
-    :mod:`colsel.factor`; ``B`` and ``alpha`` are trusted, outside input goes
-    through :func:`pietsch_objective`.
+    Either Gram goes through the Gram memo
+    (:func:`colsel.linalg._gram_top_pair`), so a spectral norm of ``B`` taken
+    next, such as the selection's check of a sample that pruning kept whole,
+    reuses its pair.  Its shifted solves try Lanczos first.  It is the
+    Pietsch program of :mod:`colsel.factor`; ``B`` and ``alpha`` are trusted,
+    outside input goes through :func:`pietsch_objective`.
     """
 
     power = 2
@@ -55,9 +59,9 @@ class PietschObjective(EigenProgram):
     def _branches(self):
         return (self.b.T @ self.b,)
 
-    def _level_free(self):  # from the smaller Gram
+    def _level_free(self):  # from the smaller Gram, through the Gram memo
         m, s = self.b.shape
-        return super()._level_free() if m >= s else (_short_side_pair(self.b),)
+        return [_gram_top_pair(self._branches[0]) if m >= s else _short_side_pair(self.b)]
 
     def improve(self, x):
         return improve_sign_witness_inf2(self.b, x)
@@ -76,7 +80,7 @@ class PietschObjective(EigenProgram):
 def _short_side_pair(b):
     """The top pair of ``B^T B`` for a wide ``B``, from the ``m x m`` Gram ``B B^T``."""
     k = b @ b.T
-    top = _top_pair(k)
+    top = _gram_top_pair(k)
     w = b.T @ top.vector
     norm_w = math.sqrt(float(w @ w))
     if norm_w > 0.0:

@@ -3,7 +3,11 @@
 Two pipelines share one skeleton: sample ``s`` columns uniformly, factor the
 sampled submatrix, keep the columns whose squared diagonal weight is at most
 ``2/s`` (Markov: at least half survive), and accept the candidate if it
-passes a spectral check that is re-verified independently of the solver.
+passes a spectral check that is re-verified independently of the solver:
+the check slices ``A_tau`` from ``A`` and the kept indices and forms its
+Gram itself; only the eigendecomposition of a Gram with the bits of the one
+the factorization solved last, as for a sample kept whole, is reused
+(:func:`colsel.linalg._gram_top_pair`).
 The outer loop doubles ``s`` starting from 4, giving each size
 ``ceil(8 log2 s)`` attempts, and stops after the first size whose accepted
 set no longer keeps pace with ``s``.  A size that samples every column
@@ -147,8 +151,8 @@ def kt_select(
     """Select columns with ``||A_tau|| <= threshold`` and size about the stable rank.
 
     Doubling search over sample sizes with :func:`norm_reduce` inside; a
-    candidate is accepted only after its spectral norm is re-measured and
-    passes the threshold.  Always returns at least column 0.
+    candidate is accepted only after its spectral norm is re-measured from
+    its own Gram and passes the threshold.  Always returns at least column 0.
     """
     return _doubling_search(a, seed, emd_iterations, norm_reduce, spectral_norm, threshold)
 

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colsel import (
     DomainError,
+    SolverError,
     column_submatrix,
     condition_number,
     frobenius_norm,
     hollow_gram,
     is_standardized,
+    kt_select,
     max_eig_pair,
     principal_submatrix,
     spectral_norm,
@@ -19,7 +23,8 @@ from colsel import (
 
 import colsel.factor
 import colsel.linalg
-from colsel.linalg import EIG_TOL, _krylov_top_pair, _proves_top
+from colsel.grothendieck import GrothObjective
+from colsel.linalg import EIG_TOL, _gram_top_pair, _krylov_top_pair, _proves_top, _top_pair
 from colsel.pietsch import PietschObjective
 
 from oracles import jacobi_max_eigenvalue
@@ -322,3 +327,119 @@ def test_cholesky_proof_holds_at_the_top_and_fails_below_it():
     assert not _proves_top(h, top - 1e-9)
     assert not _proves_top(h, 1.0)
     assert _proves_top(np.zeros((3, 3)), 0.0)
+
+
+def _counted_eigh(mp, calls):
+    """Patch ``numpy.linalg.eigh`` on ``mp`` to record the order of each call."""
+    eigh = np.linalg.eigh
+
+    def counted(h, *args, **kwargs):
+        calls.append(h.shape[0])
+        return eigh(h, *args, **kwargs)
+
+    mp.setattr(np.linalg, "eigh", counted)
+
+
+def _gram(seed, m, n):
+    x = np.random.default_rng(seed).standard_normal((m, n))
+    return x.T @ x
+
+
+def _same_bits(pair, other):
+    return (np.float64(pair.value).tobytes() == np.float64(other.value).tobytes()
+            and pair.vector.tobytes() == other.vector.tobytes()
+            and np.float64(pair.residual).tobytes() == np.float64(other.residual).tobytes())
+
+
+def test_the_last_gram_is_remembered_bit_for_bit(monkeypatch):
+    gram = _gram(1, 9, 6)
+    calls = []
+    _counted_eigh(monkeypatch, calls)
+    pair = _gram_top_pair(gram)
+    again = _gram_top_pair(gram.copy())
+    assert calls == [6]
+    assert again is pair
+    assert _same_bits(pair, _top_pair(gram.copy()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 10), seed=st.integers(0, 2**32 - 1),
+       change=st.sampled_from(["ulp", "zero sign"]), data=st.data())
+def test_a_gram_one_bit_off_the_last_is_solved_afresh(n, seed, change, data):
+    gram = _gram(seed, n + 2, n)
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    if change == "zero sign":
+        gram[i, j] = gram[j, i] = 0.0
+    other = gram.copy()
+    if change == "ulp":
+        other[i, j] = other[j, i] = np.nextafter(gram[i, j], math.inf)
+    else:
+        other[i, j] = other[j, i] = -0.0
+    colsel.linalg._gram_memo = None  # each example starts cold
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _counted_eigh(mp, calls)
+        _gram_top_pair(gram)
+        pair = _gram_top_pair(other)
+    assert calls == [n, n]
+    assert _same_bits(pair, _top_pair(other.copy()))
+
+
+def test_a_remembered_pair_and_its_gram_are_read_only():
+    gram = DOUBLE_IDENTITY_2x4.T @ DOUBLE_IDENTITY_2x4
+    pair = _gram_top_pair(gram)
+    with pytest.raises(ValueError):
+        pair.vector[0] = 0.0
+    with pytest.raises(ValueError):
+        gram[0, 0] = 0.0
+
+
+def test_a_pair_refused_by_the_residual_test_is_not_remembered(monkeypatch):
+    gram = _gram(2, 7, 5)
+    eigh = np.linalg.eigh
+
+    def perturbed(h, *args, **kwargs):
+        values, vectors = eigh(h, *args, **kwargs)
+        return values, vectors + 1e-6
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(SolverError, match="residual"):
+            _gram_top_pair(gram)
+    assert colsel.linalg._gram_memo is None
+    calls = []
+    _counted_eigh(monkeypatch, calls)
+    pair = _gram_top_pair(gram)
+    assert calls == [5]
+    assert _same_bits(pair, _top_pair(gram.copy()))
+
+
+def test_grothendieck_shifted_and_public_solves_bypass_the_gram_memo(monkeypatch):
+    rng = np.random.default_rng(4)
+    g = hollow_gram(standardize(rng.standard_normal((5, 8))))
+    f = rng.random(8)
+    GrothObjective(g, 0.9)(np.full(8, 1.0 / 8))  # level-free G and -G
+    GrothObjective(g, 0.9)(f / f.sum())  # shifted
+    PietschObjective(rng.standard_normal((12, 6)), 1.5)(f[:6] / f[:6].sum())  # shifted
+    max_eig_pair(g)
+    assert colsel.linalg._gram_memo is None
+    gram = g @ g
+    held = _gram_top_pair(gram)
+    calls = []
+    _counted_eigh(monkeypatch, calls)
+    assert max_eig_pair(gram.copy()) is not held
+    assert calls == [8]
+    assert colsel.linalg._gram_memo[1] is held
+
+
+def test_kt_select_makes_one_eigensolve_per_attempt_that_keeps_its_sample(monkeypatch):
+    # The Gaussian 16x256 of test_kt_select_wide_input_only_diagonalizes_the_short_side:
+    # every attempt is feasible at its uniform start and keeps its whole sample,
+    # so its acceptance check is the Gram the factorization solved last.
+    calls = []
+    _counted_eigh(monkeypatch, calls)
+    a = standardize(np.random.default_rng(8).standard_normal((16, 256)))
+    report = kt_select(a, seed=0)
+    assert all(size == s for s, _, size, _ in report.per_round_log)
+    assert calls == [1] + [min(s, 16) for s, *_ in report.per_round_log]  # column 0 first
+    assert len(calls) == report.attempts + 1 == 8

@@ -9,7 +9,9 @@ For each workload of ``perfbench/workloads.py`` and each seed 1-10 and the
 holdout 90017, the tool writes the workload's matrices to a temporary
 directory and runs every job in-process through ``colsel.cli.main`` from
 this checkout's ``src``, with ``numpy.linalg.eigh`` and
-``numpy.linalg.cholesky`` wrapped.  Each job prints a line ``workload/seed/job
+``numpy.linalg.cholesky`` wrapped and the Gram memo of ``colsel.linalg``
+emptied first, as a fresh ``colsel`` process starts with it empty, so no
+count depends on the job before.  Each job prints a line ``workload/seed/job
 sha256``, where ``job`` is the job's index in the workload's list; after the
 jobs of a workload and seed comes a line ``workload/seed eigh_calls N sum_n3 M
 cholesky_calls C``, where ``N`` counts the eigensolves, ``M`` sums ``n^3``
@@ -23,7 +25,7 @@ when every report, ``config`` included, is byte-identical, and the same
 count lines when they make the same eigensolves and factorizations; the
 wrappers see every solve, the private eigen kernels' included, which the
 benchmark's traced ``linalg.eig_*`` metrics (spans around the public
-``max_eig_pair``) do not.
+``max_eig_pair``, which a memo hit skips) do not.
 So comparing a change with its parent is a ``diff`` of two outputs.
 Digests are not committed: BLAS builds differ in the last bits; the counts
 do not depend on the machine, unless such a bit moves a Lanczos convergence
@@ -55,6 +57,7 @@ sys.dont_write_bytecode = True  # read perfbench/ without writing into it
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
+import colsel.linalg  # noqa: E402
 from colsel import cli, dumps_report, hollow_gram, standardize  # noqa: E402
 
 SEEDS = (*range(1, 11), 90017)
@@ -101,6 +104,7 @@ def main():
         failed = 0
         for index, job in enumerate(jobs):
             argv = job[:-1] + [str(directory / job[-1])]
+            colsel.linalg._gram_memo = None  # cold, as a fresh ``colsel`` process
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
