@@ -45,7 +45,7 @@ from .exact import norm_inf1_exact, norm_inf2_exact
 from .factor import REL_TOL
 from .grothendieck import groth_factorize, groth_optimal_alpha
 from .io import load_matrix, write_report
-from .linalg import stable_rank, standardize
+from .linalg import _gram_scope, stable_rank, standardize
 from .pietsch import pietsch_factorize, pietsch_optimal_alpha
 from .select import BT_KAPPA_THRESHOLD, KT_NORM_THRESHOLD, bt_select, kt_select
 
@@ -151,6 +151,7 @@ def _experiment_result(args, a):
     return {"results": [res]}
 
 
+@_gram_scope()  # the stable rank and a bracket probe reuse a Gram solved before
 def _run(args):
     config = {key: getattr(args, key) for key in args.config_keys}
     a = load_matrix(args.matrix, fmt=args.format)

@@ -6,16 +6,14 @@ and treat inputs as immutable.  The eigen kernels trust their caller, a
 solver passing an array it built, and hold a pair to one contract: a unit
 vector, its measured residual and ``residual <= EIG_TOL max(1, ||H||_F)``.
 :func:`_top_pair` is the dense ``eigh``; :func:`max_eig_pair` checks its
-input and calls it.  :func:`_gram_top_pair` remembers the last Gram it
-solved and returns that pair for a Gram with the same bits: the spectral
-norms (:func:`_spectral_norm`, solved by :func:`max_eig_pair` for
-:func:`spectral_norm` and by :func:`_top_pair` for a factor a solver built)
-and the Pietsch level-free Grams go through it, so a selection's check of a
-sample that pruning kept whole reuses the factorization's solve, and a
-stable rank right after a check of every column reuses the check's.  Grothendieck's
-level-free solves (``G`` and ``-G`` alternate, so one entry holds neither),
-every shifted solve (its weights move) and :func:`max_eig_pair` bypass it,
-so ``bt``'s thousands of order-8 solves pay no comparison and evict nothing.
+input and calls it.  Within a :func:`_gram_scope`, :func:`_gram_top_pair`
+returns the pair of the last Gram it solved for a Gram with the same bits:
+the spectral norms and the Pietsch level-free Grams go through it, so a
+selection's check of a sample that pruning kept whole reuses the
+factorization's solve, and a stable rank right after a check of every
+column reuses the check's.  Grothendieck's level-free solves (``G`` and
+``-G`` alternate), every shifted solve and :func:`max_eig_pair` bypass it,
+so ``bt``'s order-8 solves pay no comparison and evict nothing.
 :func:`_krylov_top_pair` finds the top pair by Lanczos iteration and returns
 it only when a Cholesky factor proves that no eigenvalue lies above it; the
 core's shifted Pietsch solves of order 128 and more try it first and fall
@@ -26,6 +24,7 @@ cluster on wide inputs; and the level-free spectra, whose top vectors start
 the sign-witness ascents, so their bits must not move.
 """
 
+import contextlib
 import math
 from typing import NamedTuple
 
@@ -158,31 +157,46 @@ def _top_pair(h):
     return EigPair(lam, v, resid)
 
 
-# The last Gram solved through :func:`_gram_top_pair`: ``(gram, pair)``, both
-# read-only, or ``None``.
+# ``None`` outside every :func:`_gram_scope`, else ``[None]`` or ``[(gram, pair)]``.
 _gram_memo = None
 
 
-def _gram_top_pair(gram, solve=_top_pair):
-    """``solve(gram)`` for a Gram matrix a solver built, remembered once.
-
-    A Gram with the shape and the bit pattern of the last one (``-0.0`` and
-    ``0.0`` differ) gets that one's pair without a solve: a fresh solve of the
-    same matrix gives the same bits.  Only a pair that ``solve`` returned, so
-    one that passed the residual test, is remembered, and only the last: the
-    caller's ``gram`` itself, made read-only like the pair's vector, so the
-    memo holds one matrix and no copy of it.  The entry is read and replaced
-    as one tuple: concurrent callers can lose an entry, never mix two.
-    """
+@contextlib.contextmanager
+def _gram_scope():
+    """A lifetime for the Gram memo; a nested scope shares the outer one's."""
     global _gram_memo
-    held = _gram_memo
+    if _gram_memo is not None:
+        yield
+        return
+    _gram_memo = [None]
+    try:
+        yield
+    finally:
+        _gram_memo = None
+
+
+def _gram_top_pair(gram, solve=_top_pair):
+    """``solve(gram)`` for a Gram matrix a solver built, remembered once
+    within a :func:`_gram_scope` and not at all outside one.
+
+    A Gram with the shape and the bits of the last one (``-0.0`` and ``0.0``
+    differ) gets its pair, whose bits a fresh solve would repeat.  Only a
+    pair that passed ``solve``'s residual test is kept, and only the last,
+    with the caller's ``gram`` itself, both read-only, so no copy is held.
+    Threads share a scope soundly: the entry is bit-keyed and replaced as
+    one tuple, so a caller can lose a hit, never get another matrix's pair.
+    """
+    memo = _gram_memo
+    if memo is None:
+        return solve(gram)
+    held = memo[0]
     if (held is not None and held[0].shape == gram.shape
             and np.array_equal(held[0].view(np.uint64), gram.view(np.uint64))):
         return held[1]
     pair = solve(gram)
     gram.flags.writeable = False
     pair.vector.flags.writeable = False
-    _gram_memo = (gram, pair)
+    memo[0] = (gram, pair)
     return pair
 
 
@@ -294,9 +308,8 @@ def spectral_norm(a):
 def _spectral_norm(a, solve=_top_pair):
     """:func:`spectral_norm` of a finite 2-d float array, by default without
     the checks of :func:`max_eig_pair`: the Gram it builds is symmetric by
-    construction, so the bits are the same.  The Gram goes through
-    :func:`_gram_top_pair`, and ``solve`` runs only when it is not the last
-    Gram solved there."""
+    construction, so the bits are the same.  Its Gram goes through
+    :func:`_gram_top_pair`."""
     if a.size == 0:
         return 0.0
     a, e = _unit_scaled(a)

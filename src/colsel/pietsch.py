@@ -38,10 +38,10 @@ class PietschObjective(EigenProgram):
     solved on ``B^T B`` or, for an ``m x s`` matrix with ``m < s``, on the
     ``m x m`` Gram ``B B^T``, whose top vector ``v`` gives ``u = B^T v /
     ||B^T v||``, so a wide solve feasible at the start never forms ``B^T B``.
-    Either Gram goes through the Gram memo
-    (:func:`colsel.linalg._gram_top_pair`), so a spectral norm of ``B`` taken
-    next, such as the selection's check of a sample that pruning kept whole,
-    reuses its pair.  Its shifted solves try Lanczos first.  It is the
+    Either Gram goes through the Gram memo, so within a Gram scope
+    (:func:`colsel.linalg._gram_scope`) a spectral norm of ``B`` taken next,
+    such as the selection's check of a sample that pruning kept whole, reuses
+    its pair.  Its shifted solves try Lanczos first.  It is the
     Pietsch program of :mod:`colsel.factor`; ``B`` and ``alpha`` are trusted,
     outside input goes through :func:`pietsch_objective`.
     """

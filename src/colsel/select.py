@@ -4,10 +4,9 @@ Two pipelines share one skeleton: sample ``s`` columns uniformly, factor the
 sampled submatrix, keep the columns whose squared diagonal weight is at most
 ``2/s`` (Markov: at least half survive), and accept the candidate if it
 passes a spectral check that is re-verified independently of the solver:
-the check slices ``A_tau`` from ``A`` and the kept indices and forms its
-Gram itself; only the eigendecomposition of a Gram with the bits of the one
-the factorization solved last, as for a sample kept whole, is reused
-(:func:`colsel.linalg._gram_top_pair`).
+the check slices ``A_tau`` from ``A`` and forms its Gram itself; within the
+search's Gram scope it reuses only the solve of a Gram with the bits of the
+factorization's last, as for a sample kept whole (:mod:`colsel.linalg`).
 The outer loop doubles ``s`` starting from 4, giving each size
 ``ceil(8 log2 s)`` attempts, and stops after the first size whose accepted
 set no longer keeps pace with ``s``.  A size that samples every column
@@ -33,6 +32,7 @@ from .emd import EMD_BUDGET
 from .errors import DomainError, SolverError, _require_seed, _stream
 from .grothendieck import groth_factorize
 from .linalg import (
+    _gram_scope,
     _require_standardized,
     as_matrix,
     condition_number,
@@ -104,6 +104,7 @@ def _size_schedule(n):
     return sizes
 
 
+@_gram_scope()
 def _doubling_search(a, seed, emd_iterations, reduce_step, metric, threshold, slack=1.0):
     """Accepts a candidate whose re-measured ``metric`` is at most
     ``threshold * slack``; the threshold must be finite and positive."""

@@ -1,18 +1,21 @@
 """Independent reference computations used only by the test suite.
 
 Deliberately different algorithms from the library: a cyclic Jacobi
-eigensolver (vs LAPACK), itertools sign enumeration (vs a doubled sign
-table split between low and high columns), and a dense simplex grid (vs
-mirror descent).  The exceptions are references that the library must
-match bit for bit: :func:`flip_ascent_inf1`, the (inf->1) sign-witness
-ascent as first written (every flip score formed afresh), and the shifted
-top pairs of the two factorization programs as each program first solved
-them (:func:`pietsch_shifted_pairs`, :func:`groth_shifted_pairs`), on the
+eigensolver (vs LAPACK), an exact rational ``LDL^T`` test of an eigenvalue
+bound (vs a floating-point Cholesky factor and a rounding margin),
+itertools sign enumeration (vs a doubled sign table split between low and
+high columns), and a dense simplex grid (vs mirror descent).  The
+exceptions are references that the library must match bit for bit:
+:func:`flip_ascent_inf1`, the (inf->1) sign-witness ascent as first written
+(every flip score formed afresh), and the shifted top pairs of the two
+factorization programs as each program first solved them
+(:func:`pietsch_shifted_pairs`, :func:`groth_shifted_pairs`), on the
 library's dense eigen kernel.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -55,6 +58,35 @@ def jacobi_eigenvalues(a, tol=1e-13, max_sweeps=60):
 
 def jacobi_max_eigenvalue(a, **kwargs):
     return float(jacobi_eigenvalues(a, **kwargs)[-1])
+
+
+def lambda_max_at_most(h, t):
+    """Whether ``lambda_max(h) <= t`` holds exactly, for a symmetric float
+    ``h`` and a float or :class:`~fractions.Fraction` ``t``.
+
+    Every float is a dyadic rational, so ``t I - h`` is held exactly in
+    fractions and tested for positive semidefiniteness by an ``LDL^T``
+    elimination with the diagonal pivots in order: the matrix is
+    semidefinite unless a pivot is negative, or is zero with a nonzero
+    entry left in its row.  The cost grows as ``n^3`` rational operations on
+    growing numerators, so keep the order at 12 or less.
+    """
+    n = h.shape[0]
+    t = Fraction(t)
+    m = [[(t if i == j else 0) - Fraction(float(h[i, j])) for j in range(n)]
+         for i in range(n)]
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][k + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, n):
+            ratio = m[i][k] / pivot
+            if ratio:
+                for j in range(k + 1, n):
+                    m[i][j] -= ratio * m[k][j]
+    return True
 
 
 def _cube(s, pinned=False):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,11 +25,14 @@ from colsel import (
 
 import colsel.factor
 import colsel.linalg
+from colsel import cli
 from colsel.grothendieck import GrothObjective
-from colsel.linalg import EIG_TOL, _gram_top_pair, _krylov_top_pair, _proves_top, _top_pair
+from colsel.linalg import (
+    EIG_TOL, _gram_scope, _gram_top_pair, _krylov_top_pair, _proves_top, _top_pair,
+)
 from colsel.pietsch import PietschObjective
 
-from oracles import jacobi_max_eigenvalue
+from oracles import jacobi_max_eigenvalue, lambda_max_at_most
 
 DOUBLE_IDENTITY_2x4 = np.hstack([np.eye(2), np.eye(2)])
 
@@ -351,6 +356,7 @@ def _same_bits(pair, other):
             and np.float64(pair.residual).tobytes() == np.float64(other.residual).tobytes())
 
 
+@_gram_scope()
 def test_the_last_gram_is_remembered_bit_for_bit(monkeypatch):
     gram = _gram(1, 9, 6)
     calls = []
@@ -375,9 +381,8 @@ def test_a_gram_one_bit_off_the_last_is_solved_afresh(n, seed, change, data):
         other[i, j] = other[j, i] = np.nextafter(gram[i, j], math.inf)
     else:
         other[i, j] = other[j, i] = -0.0
-    colsel.linalg._gram_memo = None  # each example starts cold
     calls = []
-    with pytest.MonkeyPatch.context() as mp:
+    with _gram_scope(), pytest.MonkeyPatch.context() as mp:  # each example starts cold
         _counted_eigh(mp, calls)
         _gram_top_pair(gram)
         pair = _gram_top_pair(other)
@@ -385,6 +390,7 @@ def test_a_gram_one_bit_off_the_last_is_solved_afresh(n, seed, change, data):
     assert _same_bits(pair, _top_pair(other.copy()))
 
 
+@_gram_scope()
 def test_a_remembered_pair_and_its_gram_are_read_only():
     gram = DOUBLE_IDENTITY_2x4.T @ DOUBLE_IDENTITY_2x4
     pair = _gram_top_pair(gram)
@@ -394,6 +400,7 @@ def test_a_remembered_pair_and_its_gram_are_read_only():
         gram[0, 0] = 0.0
 
 
+@_gram_scope()
 def test_a_pair_refused_by_the_residual_test_is_not_remembered(monkeypatch):
     gram = _gram(2, 7, 5)
     eigh = np.linalg.eigh
@@ -406,7 +413,7 @@ def test_a_pair_refused_by_the_residual_test_is_not_remembered(monkeypatch):
         mp.setattr(np.linalg, "eigh", perturbed)
         with pytest.raises(SolverError, match="residual"):
             _gram_top_pair(gram)
-    assert colsel.linalg._gram_memo is None
+    assert colsel.linalg._gram_memo == [None]
     calls = []
     _counted_eigh(monkeypatch, calls)
     pair = _gram_top_pair(gram)
@@ -414,6 +421,7 @@ def test_a_pair_refused_by_the_residual_test_is_not_remembered(monkeypatch):
     assert _same_bits(pair, _top_pair(gram.copy()))
 
 
+@_gram_scope()
 def test_grothendieck_shifted_and_public_solves_bypass_the_gram_memo(monkeypatch):
     rng = np.random.default_rng(4)
     g = hollow_gram(standardize(rng.standard_normal((5, 8))))
@@ -422,14 +430,14 @@ def test_grothendieck_shifted_and_public_solves_bypass_the_gram_memo(monkeypatch
     GrothObjective(g, 0.9)(f / f.sum())  # shifted
     PietschObjective(rng.standard_normal((12, 6)), 1.5)(f[:6] / f[:6].sum())  # shifted
     max_eig_pair(g)
-    assert colsel.linalg._gram_memo is None
+    assert colsel.linalg._gram_memo == [None]
     gram = g @ g
     held = _gram_top_pair(gram)
     calls = []
     _counted_eigh(monkeypatch, calls)
     assert max_eig_pair(gram.copy()) is not held
     assert calls == [8]
-    assert colsel.linalg._gram_memo[1] is held
+    assert colsel.linalg._gram_memo[0][1] is held
 
 
 def test_kt_select_makes_one_eigensolve_per_attempt_that_keeps_its_sample(monkeypatch):
@@ -443,3 +451,88 @@ def test_kt_select_makes_one_eigensolve_per_attempt_that_keeps_its_sample(monkey
     assert all(size == s for s, _, size, _ in report.per_round_log)
     assert calls == [1] + [min(s, 16) for s, *_ in report.per_round_log]  # column 0 first
     assert len(calls) == report.attempts + 1 == 8
+
+
+def test_no_gram_is_held_after_a_spectral_norm_a_selection_or_a_cli_job(tmp_path):
+    a = np.random.default_rng(9).standard_normal((600, 600))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectral_norm(a)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < a.nbytes / 8  # its 600x600 Gram alone is a.nbytes
+    assert colsel.linalg._gram_memo is None
+    b = standardize(np.random.default_rng(8).standard_normal((16, 256)))
+    kt_select(b, seed=0)  # its last check is of a sample kept whole
+    assert colsel.linalg._gram_memo is None
+    path = tmp_path / "b.csv"
+    np.savetxt(path, b, delimiter=",", fmt="%.17g")
+    assert cli.main(["kt", str(path), "--output", str(tmp_path / "kt.json")]) == 0
+    assert colsel.linalg._gram_memo is None
+
+
+def test_identical_cli_jobs_in_one_process_each_solve_as_a_cold_run(monkeypatch, tmp_path):
+    # On a standardized input the experiment's stable rank is the job's only
+    # Gram solved through the memo; a memo that outlived a job would give the
+    # next one a hit.
+    path = tmp_path / "a12x16.csv"
+    np.savetxt(path, np.random.default_rng(3).standard_normal((12, 16)), delimiter=",",
+               fmt="%.17g")
+    argv = ["experiment", "--kind", "inf2", "--delta", "0.5", "--trials", "100",
+            "--seed", "5", "--standardize", str(path), "--output", str(tmp_path / "out.json")]
+    calls = []
+    _counted_eigh(monkeypatch, calls)
+    counts = []
+    for _ in range(2):
+        assert colsel.linalg._gram_memo is None  # so the run starts cold
+        calls.clear()
+        assert cli.main(argv) == 0
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
+
+
+def _margin_delta(h, theta):
+    """The shift ``delta`` of :func:`colsel.linalg._proves_top`, by the margin
+    formula of its docstring."""
+    n = h.shape[0]
+    d = np.abs(theta - np.diag(h))
+    u = 2.0**-53
+    margin = (2.0 * (n + 1) * u * float(np.sum(d)) + u * float(d.max())
+              + 4.0 * n * (2.0 * n + 4.0 + float(d.max())) * 2.0**-1074)
+    return 2.0 * margin
+
+
+def _symmetric_input(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        x = rng.standard_normal((n, n))
+    elif kind == "integer":
+        x = rng.integers(-4, 5, (n, n)).astype(float)
+    else:  # near-singular: a Gram of rank about n / 2
+        b = rng.standard_normal((n, max(1, n // 2)))
+        x = b @ b.T
+    return np.triu(x) + np.triu(x, 1).T  # exactly symmetric
+
+
+@pytest.mark.parametrize("scale", [-40, 0, 40])
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "near-singular"])
+def test_a_cholesky_proof_never_claims_a_false_bound(kind, scale):
+    for n, seed in [(2, 0), (3, 1), (5, 2), (8, 3), (12, 4), (12, 5)]:
+        h = np.ldexp(_symmetric_input(kind, n, seed), scale)
+        values = np.linalg.eigvalsh(h)
+        top, second = float(values[-1]), float(values[-2])
+        delta = _margin_delta(h, top)
+        proved = 0
+        for theta in [top, math.nextafter(top, -math.inf), top - delta / 2, top - delta,
+                      top - 1.5 * delta, top - 2 * delta, top - 3 * delta]:
+            if _proves_top(h, theta):
+                proved += 1
+                bound = Fraction(theta) + 2 * Fraction(_margin_delta(h, theta))
+                assert lambda_max_at_most(h, bound), (kind, scale, n, theta)
+        assert proved  # at least the top itself
+        bound = Fraction(second) + 2 * Fraction(_margin_delta(h, second))
+        assert not lambda_max_at_most(h, bound)  # a gap wider than the margin
+        assert not _proves_top(h, second)

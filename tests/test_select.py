@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import threading
 from collections import Counter
 from itertools import combinations
 
@@ -298,3 +299,68 @@ def test_a_failed_attempt_reports_a_null_metric(first_solve_fails, tmp_path, cap
     assert '"per_round_log": [[4, 1, 0, null], [4, 2, ' in out
     result = json.loads(out)["result"]
     assert result["attempts"] == len(result["per_round_log"])
+
+
+def _planted(m, planted, eps):
+    """Standardized ``m x 1024`` Gaussian (``default_rng(7)``) whose first
+    ``planted`` columns are one random column plus ``eps`` times noise."""
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((m, 1024))
+    c = rng.standard_normal(m)
+    a[:, :planted] = c[:, None] + eps * rng.standard_normal((m, planted))
+    return standardize(a)
+
+
+def test_concurrent_selections_equal_their_serial_runs():
+    # Both selections share the Gram memo of colsel.linalg (one scope for the
+    # process); each result must keep every bit of its run alone.
+    inputs = [_planted(64, 512, 0.3), _planted(32, 1024, 0.5)]
+    serial = [kt_select(a, seed=0) for a in inputs]
+    results = [None, None]
+
+    def run(i):
+        results[i] = kt_select(inputs[i], seed=0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, serial):
+        assert got is not None
+        assert got.tau.tobytes() == want.tau.tobytes()
+        assert np.float64(got.accepted_metric).tobytes() == np.float64(want.accepted_metric).tobytes()
+        assert repr(got.per_round_log) == repr(want.per_round_log)
+
+
+def test_kt_select_prunes_a_planted_cluster_in_the_round_that_decides_it():
+    # Half the columns hug one direction, so ||A|| = 21.83 > 15.  Every round
+    # up to s = 128 keeps its sample whole; at s = 256 the factorization
+    # prunes the heavy planted columns, and that candidate is accepted.  A
+    # pass that kept its whole sample would return 512 columns instead.
+    a = _planted(64, 512, 0.3)
+    assert spectral_norm(a) == pytest.approx(21.83, abs=5e-3)
+    report = kt_select(a, seed=0)
+    assert [(s, size) for s, _, size, _ in report.per_round_log] == [
+        (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 128), (256, 227)]
+    assert report.tau.size == 227
+    assert report.accepted_metric == pytest.approx(9.5807, abs=5e-5)
+
+
+def test_kt_select_keeps_the_last_accepted_set_when_a_round_rejects_every_candidate():
+    # Every column planted, 32 rows: at s = 512 all ceil(8 log2 512) = 72
+    # candidates are refused, so the s = 256 set stands.  A search that
+    # accepted every candidate would return an s = 512 one.
+    a = _planted(32, 1024, 0.5)
+    report = kt_select(a, seed=0)
+    last_round = [value for s, _, _, value in report.per_round_log if s == 512]
+    assert len(last_round) == 72
+    assert all(value > colsel.select.KT_NORM_THRESHOLD for value in last_round)
+    assert report.tau.size == 256
+    assert report.accepted_metric == pytest.approx(14.124, abs=5e-4)

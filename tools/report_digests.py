@@ -9,23 +9,23 @@ For each workload of ``perfbench/workloads.py`` and each seed 1-10 and the
 holdout 90017, the tool writes the workload's matrices to a temporary
 directory and runs every job in-process through ``colsel.cli.main`` from
 this checkout's ``src``, with ``numpy.linalg.eigh`` and
-``numpy.linalg.cholesky`` wrapped and the Gram memo of ``colsel.linalg``
-emptied first, as a fresh ``colsel`` process starts with it empty, so no
-count depends on the job before.  Each job prints a line ``workload/seed/job
+``numpy.linalg.cholesky`` wrapped; each job keeps its Gram memo for itself
+(``colsel.cli`` runs a job in one scope of ``colsel.linalg``), so no count
+depends on the job before.  Each job prints a line ``workload/seed/job
 sha256``, where ``job`` is the job's index in the workload's list; after the
 jobs of a workload and seed comes a line ``workload/seed eigh_calls N sum_n3 M
 cholesky_calls C``, where ``N`` counts the eigensolves, ``M`` sums ``n^3``
 over the order ``n`` of each matrix solved and ``C`` counts the Cholesky
 factorizations (the proofs of the Krylov eigen kernel): 451 + 44 = 495 lines.
 Then the same for one more job list, ``uncovered/0``, on paths that no
-workload runs (see :func:`uncovered`): 4 + 1 lines, 500 in all.  The
+workload runs (see :func:`uncovered`): 5 + 1 lines, 501 in all.  The
 eigensolves include the small tridiagonal ones of the Krylov kernel's
 Lanczos runs.  Two checkouts print the same digest lines exactly
 when every report, ``config`` included, is byte-identical, and the same
 count lines when they make the same eigensolves and factorizations; the
 wrappers see every solve, the private eigen kernels' included, which the
 benchmark's traced ``linalg.eig_*`` metrics (spans around the public
-``max_eig_pair``, which a memo hit skips) do not.
+``max_eig_pair``, which a Gram memo hit skips) do not.
 So comparing a change with its parent is a ``diff`` of two outputs.
 Digests are not committed: BLAS builds differ in the last bits; the counts
 do not depend on the machine, unless such a bit moves a Lanczos convergence
@@ -57,7 +57,6 @@ sys.dont_write_bytecode = True  # read perfbench/ without writing into it
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-import colsel.linalg  # noqa: E402
 from colsel import cli, dumps_report, hollow_gram, standardize  # noqa: E402
 
 SEEDS = (*range(1, 11), 90017)
@@ -69,15 +68,24 @@ def uncovered():
     Pietsch solve whose Krylov attempt is refused (a Gaussian's slow gap)
     before it goes dense, Grothendieck shifted solves of order 256, and one
     bracket probe of each program, on ``diag(4, 3, 1, ..., 1)``, whose
-    uniform factorization does not certify its bracket."""
+    uniform factorization does not certify its bracket, and a ``kt`` run
+    whose answer rests on pruning: on a standardized 64x1024 Gaussian (seed
+    7) whose first 512 columns are one random column plus 0.3 times noise,
+    the s = 256 round prunes the planted columns and keeps 227."""
     rng = np.random.default_rng(0)
     b = standardize(rng.standard_normal((64, 256)))
+    rng = np.random.default_rng(7)
+    planted = rng.standard_normal((64, 1024))
+    center = rng.standard_normal(64)
+    planted[:, :512] = center[:, None] + 0.3 * rng.standard_normal((64, 512))
     matrices = {"b64x256.csv": b, "g256.csv": hollow_gram(b),
-                "diag8.csv": np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])}
+                "diag8.csv": np.diag([4.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]),
+                "planted64x1024.csv": standardize(planted)}
     jobs = [["pietsch", "--iters", "25", "--alpha", "32", "b64x256.csv"],
             ["grothendieck", "--alpha", "64", "g256.csv"],
             ["norm", "--kind", "inf2", "diag8.csv"],
-            ["norm", "--kind", "inf1", "diag8.csv"]]
+            ["norm", "--kind", "inf1", "diag8.csv"],
+            ["kt", "planted64x1024.csv"]]
     return matrices, jobs
 
 
@@ -104,7 +112,6 @@ def main():
         failed = 0
         for index, job in enumerate(jobs):
             argv = job[:-1] + [str(directory / job[-1])]
-            colsel.linalg._gram_memo = None  # cold, as a fresh ``colsel`` process
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
