@@ -26,7 +26,13 @@ at zero and certifies ``eta`` at the best point.  A positive ``eta`` is
 absorbed by blending with the uniform point, ``(alpha^p f + eta) / (alpha^p
 + eta s)``, at the price ``alpha_effective = (alpha^p + eta s)^(1/p)``; if
 eigensolver slack lets ``||T||`` pass that, the excess ``(||T||^p -
-alpha_eff^p) / s`` is folded into ``eta`` once.  :func:`_bracket` starts
+alpha_eff^p) / s`` is folded into ``eta`` once.  Only the public
+factorizations do that, since only they form ``T``: :func:`_weights`, the
+weights path that selection calls, runs the same steps as far as ``d`` (the
+solve, ``eta``, the blend, the normalization and the vanished-weight
+refusals) and returns ``d`` with a record of the solve, and on it a
+Grothendieck program takes both level-free pairs from one ``eigh(G)``
+(``_one_spectrum``).  :func:`_bracket` starts
 from the level-free spectrum: the sign vectors of its start give the lower
 bound and the measured norm of the uniform factorization the upper one.  It
 bisects on ``alpha`` until ``alpha_hi <= K alpha_lo (1 + rel_tol)`` or the
@@ -92,6 +98,7 @@ class EigenProgram:
 
     _best = None  # (value, f bytes, branch pairs) of the lowest-value point
     _krylov = False  # True: shifted solves try the Krylov kernel until it refuses one
+    _one_spectrum = False  # True (the weights path): level-free pairs may share one eigensolve
 
     @functools.cached_property
     def _spectrum(self):  # the level-free branch pairs
@@ -257,6 +264,15 @@ def _unit_level(program, alpha, e):
     return unit_alpha
 
 
+def _positive_level(program, alpha, e):
+    """:func:`_unit_level` of a factorization's ``alpha``, which must be
+    finite and positive."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < math.inf:
+        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
+    return _unit_level(program, alpha, e)
+
+
 def _evaluate(program, a, alpha, f):
     """The program's value and subgradient at checked ``alpha`` and ``f``.
 
@@ -280,10 +296,7 @@ def _factorize(program, a, alpha, emd_budget):
     """Factor the converted input ``a`` at level ``alpha``."""
     power = program.power
     a, e, fro = _unit_input(program, a)
-    alpha = float(alpha)
-    if not 0.0 < alpha < math.inf:
-        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
-    unit_alpha = _unit_level(program, alpha, e)
+    unit_alpha = _positive_level(program, alpha, e)
     s = a.shape[1]
     objective = program(a, unit_alpha)
     run = emd_minimize(objective, s, emd_budget, step_mode="adaptive", stop_below=0.0)
@@ -304,17 +317,65 @@ def _factorize(program, a, alpha, emd_budget):
     return _rescaled(fact, e, power)
 
 
+def _weights(program, a, alpha, emd_budget):
+    """:func:`_factorize` as far as ``d``, for a selection attempt, which
+    reads only the weights: ``(d, record)``.
+
+    The same unit scaling, solve, ``eta`` certified at the best point, blend,
+    normalization and vanished-weight refusals, but no ``T``, ``||T||`` or
+    reconstruction, and so no rebuild.  The program may take its level-free
+    pairs from one shared eigensolve (``_one_spectrum``); with the same
+    pairs, ``d`` has the bits of ``_factorize``'s wherever that does not
+    rebuild.  ``record`` holds the solve's ``exit`` and ``evaluations``,
+    ``eta`` and ``lower_bound`` (``EmdRun.lower_bound``) at the input's
+    scale, and ``feasible``, whether ``eta <= 0``.  Only ``eta`` is refused
+    beyond the float range, as by :func:`_factorize`; the lower bound, which
+    decides nothing, saturates.
+    """
+    a, e, fro = _unit_input(program, a)
+    objective = program(a, _positive_level(program, alpha, e))
+    objective._one_spectrum = True
+    run = emd_minimize(objective, a.shape[1], emd_budget, step_mode="adaptive",
+                       stop_below=0.0)
+    eta = objective.certified(run.best_point)
+    shift = program.power * e
+    return _blend(objective, a, fro, run.best_point, eta), {
+        "exit": run.exit,
+        "evaluations": run.iterations,
+        "eta": _scaled_back(eta, shift, "eta"),
+        "lower_bound": _ldexp(run.lower_bound, shift),
+        "feasible": eta <= 0.0,
+    }
+
+
 def _build(objective, a, fro, f, alpha, eta):
+    d = _blend(objective, a, fro, f, eta)
+    alpha_eff = alpha
+    if eta > 0.0:
+        alpha_eff = objective.level + eta * a.shape[1]
+        if objective.power == 2:
+            alpha_eff = math.sqrt(alpha_eff)
+    t = objective.split(d)
+    recon = frobenius_norm(a - objective.join(t, d))
+    if recon > RECONSTRUCTION_RTOL * max(1.0, fro):
+        raise SolverError(
+            f"reconstruction residual {recon:.3g} exceeds tolerance; "
+            "zero weights do not match zero columns"
+        )
+    return Factorization(d, t, alpha_eff, float(eta), recon, objective.t_norm(t, d))
+
+
+def _blend(objective, a, fro, f, eta):
+    """The weights ``d`` at the point ``f`` with certified ``eta``: ``f``
+    itself or, for ``eta > 0``, its blend with the uniform point, normalized
+    to ``sum(d^2) = 1``; refused when every weight vanished, or one whose
+    column is not negligible."""
     s = a.shape[1]
     if eta <= 0.0:
         weights = f.copy()
-        alpha_eff = alpha
     else:
         level = objective.level
         weights = (level * f + eta) / (level + eta * s)
-        alpha_eff = level + eta * s
-        if objective.power == 2:
-            alpha_eff = math.sqrt(alpha_eff)
     total = weights.sum()
     if total <= 0.0:
         raise SolverError("all factorization weights vanished")
@@ -328,14 +389,7 @@ def _build(objective, a, fro, f, alpha, eta):
             f"weight {bad[0]} vanished but column {bad[0]} is not negligible; "
             "the solve is numerically inconsistent"
         )
-    t = objective.split(d)
-    recon = frobenius_norm(a - objective.join(t, d))
-    if recon > RECONSTRUCTION_RTOL * max(1.0, fro):
-        raise SolverError(
-            f"reconstruction residual {recon:.3g} exceeds tolerance; "
-            "zero weights do not match zero columns"
-        )
-    return Factorization(d, t, alpha_eff, float(eta), recon, objective.t_norm(t, d))
+    return d
 
 
 def _bracket(program, a, rel_tol, emd_budget, factorize):

@@ -6,7 +6,11 @@ reduces to nonpositivity of the top eigenvalue of the block matrix
 congruence by the orthogonal matrix ``(1/sqrt 2) [[I, I], [-I, I]]`` splits
 that block spectrum into the spectra of ``G - alpha F`` and ``-G - alpha F``,
 so the program's branches are ``G`` and ``-G``: two half-size eigensolves
-instead of one double-size solve, both dense (:mod:`colsel.linalg`).
+instead of one double-size solve, both dense (:mod:`colsel.linalg`).  On the
+weights path of selection the two level-free pairs come from one
+``eigh(G)``, the pair of ``-G`` being ``G``'s bottom one; brackets and
+:func:`groth_factorize` solve ``G`` and ``-G`` apart, so the top vectors that
+seed a bracket's sign-witness ascent keep their bits.
 
 :class:`GrothObjective` is that program (``p = 1``, linear in ``alpha``) for
 the factorization core :mod:`colsel.factor`.  The bracket constant is the
@@ -30,7 +34,7 @@ from .factor import (
     _factorize,
     _start_signs,
 )
-from .linalg import _ldexp, _require_symmetric, _unit_scaled, as_matrix
+from .linalg import _ldexp, _require_symmetric, _signed_top_pairs, _unit_scaled, as_matrix
 
 GROTHENDIECK_LOWER = math.pi / 2.0
 GROTHENDIECK_UPPER = math.pi / (2.0 * math.log(1.0 + math.sqrt(2.0)))
@@ -74,6 +78,11 @@ class GrothObjective(EigenProgram):
     @functools.cached_property
     def _branches(self):  # a tie goes to +G
         return (self.g, -self.g)
+
+    def _level_free(self):
+        if self._one_spectrum:  # -G's top pair is G's bottom one
+            return list(_signed_top_pairs(*self._branches))
+        return super()._level_free()
 
     def improve(self, x):
         return improve_sign_witness_inf1(self.g, x)

@@ -11,9 +11,12 @@ returns the pair of the last Gram it solved for a Gram with the same bits:
 the spectral norms and the Pietsch level-free Grams go through it, so a
 selection's check of a sample that pruning kept whole reuses the
 factorization's solve, and a stable rank right after a check of every
-column reuses the check's.  Grothendieck's level-free solves (``G`` and
-``-G`` alternate), every shifted solve and :func:`max_eig_pair` bypass it,
-so ``bt``'s order-8 solves pay no comparison and evict nothing.
+column reuses the check's.  Grothendieck's level-free solves, every shifted
+solve and :func:`max_eig_pair` bypass it, so ``bt``'s order-8 solves pay no
+comparison and evict nothing.  :func:`_signed_top_pairs` gives the top
+pairs of ``G`` and ``-G`` from one ``eigh(G)``, for the level-free solve of
+the selection's weights path; the public Grothendieck factorization and
+bracket solve ``G`` and ``-G`` apart.
 :func:`_krylov_top_pair` finds the top pair by Lanczos iteration and returns
 it only when a Cholesky factor proves that no eigenvalue lies above it; the
 core's shifted Pietsch solves of order 128 and more try it first and fall
@@ -144,12 +147,30 @@ def _top_pair(h):
         v = np.zeros(h.shape[0])
         v[0] = 1.0
         return EigPair(0.0, v, 0.0)
+    eigenvalues, eigenvectors = _eigh(h)
+    return _measured_pair(h, float(eigenvalues[-1]), eigenvectors[:, -1])
+
+
+def _signed_top_pairs(h, minus_h):
+    """The top pairs of ``h`` and of ``minus_h``, which is ``-h``, from one
+    ``eigh(h)``: ``minus_h``'s is ``(-lambda_min, v_min)``.  Each pair has
+    its own measured residual and passes :func:`_top_pair`'s test."""
+    if not h.any():
+        return _top_pair(h), _top_pair(minus_h)
+    eigenvalues, eigenvectors = _eigh(h)
+    return (_measured_pair(h, float(eigenvalues[-1]), eigenvectors[:, -1]),
+            _measured_pair(minus_h, -float(eigenvalues[0]), eigenvectors[:, 0]))
+
+
+def _eigh(h):
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(h)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"symmetric eigendecomposition failed: {exc}") from exc
-    lam = float(eigenvalues[-1])
-    v = eigenvectors[:, -1]
+
+
+def _measured_pair(h, lam, v):
+    """``(lam, v)`` with ``v`` normalized and its residual measured and tested."""
     v = v / math.sqrt(float(v @ v))
     r = h @ v - lam * v
     resid = math.sqrt(float(r @ r))

@@ -1,9 +1,11 @@
 """Randomized well-conditioned column selection.
 
-Two pipelines share one skeleton: sample ``s`` columns uniformly, factor the
-sampled submatrix, keep the columns whose squared diagonal weight is at most
-``2/s`` (Markov: at least half survive), and accept the candidate if it
-passes a spectral check that is re-verified independently of the solver:
+Two pipelines share one skeleton: sample ``s`` columns uniformly, ask the
+factorization core for the weights of the sampled submatrix (its weights
+path, which forms no factor ``T``), keep the columns whose squared diagonal
+weight is at most ``2/s`` (Markov: at least half survive), and accept the
+candidate if it passes a spectral check that is re-verified independently of
+the solver:
 the check slices ``A_tau`` from ``A`` and forms its Gram itself; within the
 search's Gram scope it reuses only the solve of a Gram with the bits of the
 factorization's last, as for a sample kept whole (:mod:`colsel.linalg`).
@@ -19,7 +21,8 @@ controls the condition number (threshold ``sqrt(3)``) by driving down the
 of the matrix, the seed, the threshold and the mirror-descent budget: every
 sampling attempt draws from its own stream spawned as
 ``SeedSequence(seed, spawn_key=(round, attempt))``, so attempts are
-independent and could run in parallel without changing the result.
+independent and could run in parallel without changing the result.  Each
+attempt also leaves a record of its solve in ``SelectionReport.attempt_records``.
 """
 
 import math
@@ -30,7 +33,8 @@ import numpy as np
 
 from .emd import EMD_BUDGET
 from .errors import DomainError, SolverError, _require_seed, _stream
-from .grothendieck import groth_factorize
+from .factor import _weights
+from .grothendieck import GrothObjective
 from .linalg import (
     _gram_scope,
     _require_standardized,
@@ -39,7 +43,7 @@ from .linalg import (
     hollow_gram,
     spectral_norm,
 )
-from .pietsch import PIETSCH_CONSTANT, pietsch_factorize
+from .pietsch import PIETSCH_CONSTANT, PietschObjective
 
 KT_NORM_THRESHOLD = 15.0
 BT_KAPPA_THRESHOLD = math.sqrt(3.0)
@@ -49,12 +53,21 @@ _KAPPA_SLACK = 1e-10
 
 @dataclass
 class SelectionReport:
-    """Outcome of one selection run."""
+    """Outcome of one selection run.
+
+    ``per_round_log`` holds ``(s, attempt, size, metric)`` per attempt and
+    ``attempt_records`` the attempt's solve, in the same order: a dict with
+    the mirror-descent ``exit`` and ``evaluations``, the certified ``eta``
+    and the run's ``lower_bound`` (at the input's scale), ``feasible``
+    (``eta <= 0``) and the number of sampled columns ``pruned``; a failed
+    attempt's record is empty.
+    """
 
     tau: np.ndarray
     accepted_metric: float
     attempts: int
     per_round_log: list = field(repr=False)
+    attempt_records: list = field(repr=False)
     seed: int
 
 
@@ -66,30 +79,37 @@ def random_subset(n, s, rng):
     return np.sort(idx.astype(np.int64))
 
 
-def _reduce(a, s, rng, factor):
-    """One sampling + factorization + pruning pass: draws ``s`` columns,
-    factors them with ``factor``, and returns the surviving original column
-    indices, or ``None`` when the inner solve fails (:class:`SolverError`)."""
+def _reduce(a, s, rng, weights, records):
+    """One sampling + weights + pruning pass: draws ``s`` columns, takes
+    ``(d, record)`` of them from ``weights``, and returns the surviving
+    original column indices, or ``None`` when the inner solve fails
+    (:class:`SolverError`).  The attempt's record, with ``pruned`` added, or
+    an empty one for a failed solve, goes to the list ``records`` if given."""
     a = as_matrix(a, "A")
     sample = random_subset(a.shape[1], s, rng)
+    records = [] if records is None else records
     try:
-        fact = factor(a[:, sample])
+        d, record = weights(a[:, sample])
     except SolverError:
+        records.append({})
         return None
-    return sample[fact.d**2 <= PRUNE_RATIO / s]
+    kept = sample[d**2 <= PRUNE_RATIO / s]
+    records.append({**record, "pruned": s - kept.size})
+    return kept
 
 
-def norm_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
-    """The pass of the norm pipeline: Pietsch at level ``alpha = 8 K_P sqrt(s)``."""
-    return _reduce(a, s, rng, lambda b: pietsch_factorize(
-        b, 8.0 * PIETSCH_CONSTANT * math.sqrt(s), emd_iterations))
+def norm_reduce(a, s, rng, emd_iterations=EMD_BUDGET, *, records=None):
+    """The pass of the norm pipeline: Pietsch weights at level ``alpha = 8
+    K_P sqrt(s)``."""
+    return _reduce(a, s, rng, lambda b: _weights(
+        PietschObjective, b, 8.0 * PIETSCH_CONSTANT * math.sqrt(s), emd_iterations), records)
 
 
-def cond_reduce(a, s, rng, emd_iterations=EMD_BUDGET):
-    """The pass of the conditioning pipeline: Grothendieck on the hollow Gram
-    matrix of the sample at level ``alpha = s / 4``."""
-    return _reduce(a, s, rng, lambda b: groth_factorize(
-        hollow_gram(b), s / 4.0, emd_iterations))
+def cond_reduce(a, s, rng, emd_iterations=EMD_BUDGET, *, records=None):
+    """The pass of the conditioning pipeline: Grothendieck weights of the
+    hollow Gram matrix of the sample at level ``alpha = s / 4``."""
+    return _reduce(a, s, rng, lambda b: _weights(
+        GrothObjective, hollow_gram(b), s / 4.0, emd_iterations), records)
 
 
 def _size_schedule(n):
@@ -118,13 +138,13 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, threshold, sl
         raise DomainError("A must have at least one column")
     tau_star = np.array([0], dtype=np.int64)
     best_metric = metric(a[:, tau_star])
-    log = []
+    log, records = [], []
 
     for round_index, s in enumerate(_size_schedule(n)):
         tries = math.ceil(8.0 * math.log2(s)) if 1 < s < n else 1
         for k in range(1, tries + 1):
             rng = _stream(seed, round_index, k)
-            candidate = reduce_step(a, s, rng, emd_iterations)
+            candidate = reduce_step(a, s, rng, emd_iterations, records=records)
             if candidate is None:
                 log.append((s, k, 0, None))
                 continue
@@ -142,6 +162,7 @@ def _doubling_search(a, seed, emd_iterations, reduce_step, metric, threshold, sl
         accepted_metric=best_metric,
         attempts=len(log),
         per_round_log=log,
+        attempt_records=records,
         seed=seed,
     )
 

@@ -7,6 +7,7 @@ kernel looks up at each call.
 """
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from colsel import (
 )
 from colsel.factor import NORM_SLACK
 from colsel.grothendieck import GrothObjective
+from colsel.linalg import EIG_TOL, _signed_top_pairs, _top_pair
 from colsel.pietsch import PietschObjective
 from oracles import groth_shifted_pairs, pietsch_shifted_pairs
 
@@ -325,3 +327,129 @@ def test_shifted_evaluations_keep_the_bits_of_the_per_program_solves(program, ki
     assert value == top.value
     assert grad.tobytes() == (-evaluator.level * top.vector**2).tobytes()
     assert evaluator.certified(f) == certificate  # the best point's pairs
+
+
+def _weights_inputs():
+    # Seeded 6x8 Pietsch and order-8 Grothendieck inputs at levels feasible at
+    # the uniform start, feasible after descent and infeasible (a gap exit),
+    # and one input of each with a zero column.
+    rng = np.random.default_rng(11)
+    b = rng.standard_normal((6, 8))
+    b0 = b.copy()
+    b0[:, 3] = 0.0
+    g = hollow_gram(standardize(rng.standard_normal((5, 8))))
+    g0 = g.copy()
+    g0[2, :] = g0[:, 2] = 0.0
+    pietsch = np.sqrt(8) * spectral_norm(b)
+    groth = 8 * spectral_norm(g)
+    return [
+        pytest.param(PietschObjective, b, 1.5 * pietsch, id="pietsch-uniform"),
+        pytest.param(PietschObjective, b, 0.75 * pietsch, id="pietsch-infeasible"),
+        pytest.param(PietschObjective, b0, 0.9 * np.sqrt(8) * spectral_norm(b0),
+                     id="pietsch-zero-column"),
+        pytest.param(GrothObjective, g, 1.5 * groth, id="groth-uniform"),
+        pytest.param(GrothObjective, g, 0.9 * groth, id="groth-descent"),
+        pytest.param(GrothObjective, g, 0.6 * groth, id="groth-infeasible"),
+        pytest.param(GrothObjective, g0, 0.75 * 8 * spectral_norm(g0), id="groth-zero-column"),
+    ]
+
+
+@pytest.mark.parametrize("program, a, alpha", _weights_inputs())
+def test_the_weights_path_keeps_the_bits_of_the_public_weights(monkeypatch, program, a, alpha):
+    # Without the one-eigh(G) spectrum (compared in the next test), the weights
+    # path is the public factorization cut at d: the same bits wherever that
+    # did not rebuild, and its record reports the same eta.
+    monkeypatch.setattr(colsel.grothendieck, "_signed_top_pairs",
+                        lambda h, minus_h: (_top_pair(h), _top_pair(minus_h)))
+    builds = []
+    build = colsel.factor._build
+
+    def counted(*args):
+        builds.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(colsel.factor, "_build", counted)
+    fact = colsel.factor._factorize(program, a, alpha, 5000)
+    assert len(builds) == 1  # no rebuild
+    d, record = colsel.factor._weights(program, a, alpha, 5000)
+    assert len(builds) == 1
+    assert d.tobytes() == fact.d.tobytes()
+    assert record["eta"] == fact.eta
+    assert record["feasible"] == (fact.eta <= 0.0)
+    assert record["exit"] in ("feasible", "gap")
+    assert record["lower_bound"] <= record["eta"] or record["feasible"]
+
+
+@pytest.mark.parametrize("program, a, alpha", _weights_inputs())
+def test_one_grothendieck_spectrum_moves_the_weights_by_rounding_at_most(program, a, alpha):
+    # -G's pair from eigh(G) may differ from eigh(-G)'s in the last bits, and
+    # so may d; on these inputs it stays within rounding of the public d.
+    d, record = colsel.factor._weights(program, a, alpha, 5000)
+    fact = colsel.factor._factorize(program, a, alpha, 5000)
+    np.testing.assert_allclose(d, fact.d, rtol=1e-9, atol=0.0)
+    assert record["feasible"] == (fact.eta <= 0.0)
+
+
+@pytest.mark.parametrize("program, a", [
+    pytest.param(PietschObjective, np.random.default_rng(12).standard_normal((6, 8)),
+                 id="pietsch"),
+    pytest.param(GrothObjective,
+                 hollow_gram(standardize(np.random.default_rng(12).standard_normal((5, 8)))),
+                 id="groth"),
+])
+@pytest.mark.parametrize("zeros, message", [
+    ([0], "weight 0 vanished but column 0 is not negligible"),
+    (slice(None), "all factorization weights vanished"),
+])
+def test_the_weights_path_refuses_a_vanished_weight_as_the_public_path(
+        monkeypatch, program, a, zeros, message):
+    # A certified-feasible best point with a zero weight on a live column (or
+    # none left) is refused by both paths with the same SolverError.
+    minimize = colsel.factor.emd_minimize
+
+    def vanished(*args, **kwargs):
+        run = minimize(*args, **kwargs)
+        point = run.best_point.copy()
+        point[zeros] = 0.0
+        return dataclasses.replace(run, best_point=point)
+
+    monkeypatch.setattr(colsel.factor, "emd_minimize", vanished)
+    monkeypatch.setattr(program, "certified", lambda self, f: -1.0)
+    alpha = 2.0 * 8 * spectral_norm(a)
+    with pytest.raises(SolverError) as public:
+        colsel.factor._factorize(program, a, alpha, 5000)
+    with pytest.raises(SolverError) as weights:
+        colsel.factor._weights(program, a, alpha, 5000)
+    assert str(weights.value) == str(public.value)
+    assert message in str(public.value)
+
+
+def test_a_lower_bound_beyond_the_float_range_refuses_no_attempt(monkeypatch):
+    # At scale 2^500 a Pietsch value is scaled back by about 2^1002: eta fits,
+    # a loose lower bound of -1e300 at unit scale does not, and saturates.
+    b = np.random.default_rng(13).standard_normal((6, 8)) * 2.0**500
+    alpha = 1.5 * math.sqrt(8) * spectral_norm(b)
+    d, record = colsel.factor._weights(PietschObjective, b, alpha, 5000)
+    minimize = colsel.factor.emd_minimize
+    monkeypatch.setattr(colsel.factor, "emd_minimize", lambda *args, **kwargs: dataclasses.replace(
+        minimize(*args, **kwargs), lower_bound=-1e300))
+    loose_d, loose = colsel.factor._weights(PietschObjective, b, alpha, 5000)
+    assert loose_d.tobytes() == d.tobytes()
+    assert loose["lower_bound"] == -math.inf
+    assert loose["eta"] == record["eta"] and math.isfinite(loose["eta"])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_minus_g_pair_of_one_spectrum_passes_the_residual_test(seed):
+    # -G's top pair is G's bottom pair (-lambda_min, v_min), with the residual
+    # measured on -G; both pairs pass the kernel's test.
+    rng = np.random.default_rng(seed)
+    g = hollow_gram(standardize(rng.standard_normal((5 + seed, 8 + 4 * seed))))
+    pairs = _signed_top_pairs(g, -g)
+    for h, pair, dense in zip((g, -g), pairs, (_top_pair(g), _top_pair(-g))):
+        assert math.sqrt(float(pair.vector @ pair.vector)) == pytest.approx(1.0, abs=1e-15)
+        r = h @ pair.vector - pair.value * pair.vector
+        assert pair.residual == math.sqrt(float(r @ r))
+        assert pair.residual <= EIG_TOL * max(1.0, math.sqrt(float(np.sum(h * h))))
+        assert abs(pair.value - dense.value) <= 64 * np.finfo(float).eps * spectral_norm(g)
+    assert pairs[1].value == -np.linalg.eigh(g)[0][0]

@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import colsel.factor
 import colsel.select
 from colsel import (
     DomainError,
@@ -266,11 +267,11 @@ def test_a_size_that_samples_every_column_runs_once():
     assert report.per_round_log == [(3, 1, 3, math.inf)]
 
 
-@pytest.fixture(params=[("kt", "pietsch_factorize"), ("bt", "groth_factorize")], ids=["kt", "bt"])
+@pytest.fixture(params=["kt", "bt"])
 def first_solve_fails(request, monkeypatch):
-    """The selection command whose first factorization raises ``SolverError``."""
-    command, name = request.param
-    real = getattr(colsel.select, name)
+    """The selection command whose first factorization (the weights path,
+    ``factor._weights``) raises ``SolverError``."""
+    real = colsel.select._weights
     calls = []
 
     def fails_once(*args, **kwargs):
@@ -279,8 +280,8 @@ def first_solve_fails(request, monkeypatch):
             raise SolverError("synthetic failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(colsel.select, name, fails_once)
-    return command
+    monkeypatch.setattr(colsel.select, "_weights", fails_once)
+    return request.param
 
 
 def test_a_failed_attempt_is_logged_and_the_next_one_runs(first_solve_fails):
@@ -364,3 +365,103 @@ def test_kt_select_keeps_the_last_accepted_set_when_a_round_rejects_every_candid
     assert all(value > colsel.select.KT_NORM_THRESHOLD for value in last_round)
     assert report.tau.size == 256
     assert report.accepted_metric == pytest.approx(14.124, abs=5e-4)
+
+
+def _eigh_inputs(monkeypatch):
+    """The matrices handed to ``numpy.linalg.eigh`` from now on."""
+    inputs = []
+    eigh = np.linalg.eigh
+
+    def recorded(h, *args, **kwargs):
+        inputs.append(h.copy())
+        return eigh(h, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return inputs
+
+
+def _shifted_calls(monkeypatch):
+    calls = []
+    shifted = colsel.factor.EigenProgram._shifted
+
+    def counted(self, f):
+        calls.append(None)
+        return shifted(self, f)
+
+    monkeypatch.setattr(colsel.factor.EigenProgram, "_shifted", counted)
+    return calls
+
+
+def _split_solves(inputs):
+    """(level-free, shifted) solves of Grothendieck weights: ``G`` and ``-G``
+    have a zero diagonal, ``+-G - level diag(f)`` a negative one; the Gram of
+    a factor ``T`` would have a positive one and is in neither."""
+    level_free = [h for h in inputs if not h.diagonal().any()]
+    shifted = [h for h in inputs if (h.diagonal() < 0.0).all()]
+    return level_free, shifted
+
+
+def test_a_cond_reduce_attempt_solves_its_level_free_spectrum_once(monkeypatch):
+    # An infeasible attempt that blends to uneven weights: one eigh(G) for both
+    # level-free branches, two shifted solves per uneven evaluation, no T.
+    a = standardize(rng_from(3).standard_normal((16, 48)))
+    inputs = _eigh_inputs(monkeypatch)
+    shifted_calls = _shifted_calls(monkeypatch)
+    records = []
+    tau = cond_reduce(a, 8, rng_from(0), records=records)
+    (record,) = records
+    assert not record["feasible"] and record["pruned"] == 8 - tau.size
+    level_free, shifted = _split_solves(inputs)
+    assert len(level_free) == 1 and shifted_calls
+    assert len(shifted) == 2 * len(shifted_calls)
+    assert len(inputs) == 1 + 2 * len(shifted_calls)
+
+
+def test_bt_select_makes_one_level_free_solve_per_attempt(monkeypatch):
+    # A sample without a duplicated column has G = 0, whose pairs need no eigh.
+    grams = []
+    hollow = colsel.select.hollow_gram
+    monkeypatch.setattr(colsel.select, "hollow_gram", lambda b: grams.append(hollow(b)) or grams[-1])
+    inputs = _eigh_inputs(monkeypatch)
+    shifted_calls = _shifted_calls(monkeypatch)
+    report = bt_select(DOUBLE_ID_8, seed=0)
+    assert len(grams) == report.attempts
+    solved = sum(1 for g in grams if g.any())
+    level_free, shifted = _split_solves(inputs)
+    assert 0 < solved == len(level_free) < report.attempts
+    assert len(shifted) == 2 * len(shifted_calls)
+    assert len(inputs) == solved + 2 * len(shifted_calls)
+
+
+@pytest.mark.parametrize("select, a", [
+    pytest.param(kt_select, _planted(64, 512, 0.3), id="kt"),
+    pytest.param(bt_select, DOUBLE_ID_8, id="bt"),
+])
+def test_each_attempt_records_its_solve(select, a):
+    report = select(a, seed=0)
+    assert len(report.attempt_records) == report.attempts
+    for (s, _, size, _), record in zip(report.per_round_log, report.attempt_records):
+        assert list(record) == ["exit", "evaluations", "eta", "lower_bound", "feasible",
+                                "pruned"]
+        assert record["exit"] in ("feasible", "gap", "budget", "zero-step")
+        assert record["evaluations"] >= 1
+        assert record["feasible"] == (record["eta"] <= 0.0)
+        assert record["lower_bound"] <= record["eta"] or record["feasible"]
+        assert record["pruned"] == s - size
+    assert any(record["pruned"] for record in report.attempt_records)
+
+
+def test_a_failed_attempt_has_an_empty_record(first_solve_fails):
+    select = kt_select if first_solve_fails == "kt" else bt_select
+    report = select(DOUBLE_ID_8, seed=0)
+    assert report.attempt_records[0] == {}
+    assert all(report.attempt_records[1:])
+    assert len(report.attempt_records) == report.attempts
+
+
+def test_norm_reduce_without_a_record_list_returns_its_candidate():
+    records = []
+    a = standardize(rng_from(4).standard_normal((8, 32)))
+    with_log = norm_reduce(a, 16, rng_from(1), records=records)
+    assert np.array_equal(norm_reduce(a, 16, rng_from(1)), with_log)
+    assert records[0]["pruned"] == 16 - with_log.size
